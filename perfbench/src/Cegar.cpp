@@ -137,6 +137,12 @@ std::vector<Instance> makeInstances(const NetworkSet &Nets, uint64_t Seed) {
   return Out;
 }
 
+/// One set-up: the networks and the instances built from them.
+struct CegarSetup {
+  BaseSetup Base;
+  std::vector<Instance> Xs;
+};
+
 VerifierConfig cegarConfig(const Instance &X, bool Cegar) {
   VerifierConfig VC;
   VC.TimeLimitSeconds = CegarBudget;
@@ -211,14 +217,15 @@ void gatePass(Options &Opt, const std::vector<Instance> &Xs, PassResult &P,
 
 int perfbench::runCegar(Options &Opt, Report &Rep) {
   EndToEnd E;
-  BaseSetup Base;
-  std::vector<Instance> Xs;
-  for (int I = 0; I < SetupRepeats; ++I) {
-    double Start = now();
-    Base = setupBase(Opt, Rep);
-    Xs = makeInstances(Base.Nets, Opt.Seed);
-    E.SetupSeconds.push_back(now() - Start);
-  }
+  auto SetUp = [&] {
+    CegarSetup St;
+    St.Base = setupBase(Opt, Rep);
+    St.Xs = makeInstances(St.Base.Nets, Opt.Seed);
+    return St;
+  };
+  CegarSetup St = repeatSetup(E.SetupSeconds, SetUp);
+  const BaseSetup &Base = St.Base;
+  const std::vector<Instance> &Xs = St.Xs;
   VerificationPolicy Policy = pinnedPolicy();
   std::cout << "cegar: " << Xs.size() << " instances (" << RedundantCount
             << " redundant, " << DenseCount << " dense, "
@@ -235,14 +242,14 @@ int perfbench::runCegar(Options &Opt, Report &Rep) {
 
   if (!Opt.Trace) {
     double Start = now();
-    std::vector<double> Walls, Solved;
+    std::vector<double> Walls, Solved, LatenciesMs;
     do {
       PassResult P = runPass(Xs, Policy, nullptr, true, 0);
       double Decided = 0;
       for (size_t I = 0; I < Xs.size(); ++I)
         if (P.Results[I].Result != Outcome::Timeout) {
           ++Decided;
-          E.LatenciesMs.push_back(P.CpuSeconds[I] * 1e3); // as the paper
+          LatenciesMs.push_back(P.CpuSeconds[I] * 1e3); // as the paper
         }
       Walls.push_back(P.Wall);
       Solved.push_back(Decided);
@@ -253,8 +260,12 @@ int perfbench::runCegar(Options &Opt, Report &Rep) {
     E.WallSeconds = median(Walls);
     E.Solved = median(Solved);
     E.OpsPerSecond = E.Solved / E.WallSeconds;
+    E.P50Ms = percentile(LatenciesMs, 50.0);
+    E.TailMs = percentile(LatenciesMs, 90.0);
     Rep.detail("cegar.passes", double(Walls.size()), "count");
     Rep.detail("cegar.direct_wall_s", Direct.Wall, "s");
+    St = CegarSetup(); // release before the closing set-ups
+    repeatSetup(E.SetupSeconds, SetUp);
     reportEndToEnd(E, Rep);
     return 0;
   }
@@ -277,8 +288,8 @@ int perfbench::runCegar(Options &Opt, Report &Rep) {
       continue;
     Replayed.push_back(1000 + long(I));
     replayCertificate(Xs[I].Net, Xs[I].Prop, cegarConfig(Xs[I], false),
-                      *R.Certificate, Policy, DirectLog, -1, 1000 + long(I),
-                      L.Layers);
+                      *R.Certificate, Policy, DirectLog, 1000 + long(I),
+                      L.Layers, Rep);
   }
   L.Search = searchTotals(Log, "verify.cegar");
   L.ReplayedNodeSeconds = nodeSecondsOf(DirectLog, Replayed);

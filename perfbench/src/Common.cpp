@@ -101,13 +101,6 @@ double perfbench::percentile(std::vector<double> V, double P) {
   return V[std::min(Idx, V.size() - 1)];
 }
 
-double perfbench::tailPercentile(size_t Samples) {
-  for (double P : {99.9, 99.0, 90.0, 75.0, 50.0})
-    if (double(Samples) * (100.0 - P) / 100.0 >= 10.0)
-      return P;
-  return 100.0;
-}
-
 double perfbench::median(std::vector<double> V) {
   if (V.empty())
     return 0.0;

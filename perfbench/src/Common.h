@@ -74,11 +74,6 @@ private:
 /// Nearest-rank percentile (P in [0, 100]) of \p V; 0 for an empty input.
 double percentile(std::vector<double> V, double P);
 
-/// The highest of p99.9/p99/p90/p75/p50 with at least ten samples beyond
-/// it; the maximum when there are fewer than twenty samples. Returns the
-/// percentile used (100 for the maximum).
-double tailPercentile(size_t Samples);
-
 double median(std::vector<double> V);
 
 /// Peak resident set of this process plus its largest reaped child, MB.

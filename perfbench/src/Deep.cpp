@@ -119,6 +119,14 @@ double spawnWorkers(Executors &X, const std::vector<DeepOp> &Ops) {
   return now() - Start;
 }
 
+/// One set-up: the networks, the pinned instances (pointing into them)
+/// and the executors.
+struct DeepSetup {
+  BaseSetup Base;
+  std::vector<DeepOp> Ops;
+  Executors X;
+};
+
 struct FleetTotals {
   long Shards = 0, Steals = 0, Restarts = 0, Inline = 0;
   std::vector<long> PerWorker;
@@ -225,17 +233,17 @@ double imbalance(const std::vector<long> &Counts) {
 
 int perfbench::runDeep(Options &Opt, Report &Rep) {
   EndToEnd E;
-  BaseSetup Base;
-  Executors X;
-  std::vector<DeepOp> Ops;
-  for (int I = 0; I < SetupRepeats; ++I) {
-    X = Executors(); // stop the previous fleet before timing a new one
-    double Start = now();
-    Base = setupBase(Opt, Rep);
-    Ops = deepOps(Base.Nets);
-    X = startExecutors(Opt);
-    E.SetupSeconds.push_back(now() - Start);
-  }
+  auto SetUp = [&] {
+    DeepSetup St;
+    St.Base = setupBase(Opt, Rep);
+    St.Ops = deepOps(St.Base.Nets);
+    St.X = startExecutors(Opt);
+    return St;
+  };
+  DeepSetup St = repeatSetup(E.SetupSeconds, SetUp);
+  BaseSetup &Base = St.Base;
+  Executors &X = St.X;
+  const std::vector<DeepOp> &Ops = St.Ops;
   VerificationPolicy Policy = pinnedPolicy();
   std::cout << "deep: " << Ops.size() << " instances x " << NumLegs
             << " executors, " << parallelWidth() << " threads / workers\n";
@@ -283,15 +291,18 @@ int perfbench::runDeep(Options &Opt, Report &Rep) {
     // times are printed per leg below (best pass and median pass) with no
     // bound. Four instances are too few for a percentile with ten samples
     // beyond it, so the tail is the slowest instance.
+    std::vector<double> InstanceMs;
     double SerialCpuSum = 0.0;
     for (size_t I = 0; I < Ops.size(); ++I)
       if (!CpuMs[I].empty()) {
-        E.LatenciesMs.push_back(median(CpuMs[I]));
+        InstanceMs.push_back(median(CpuMs[I]));
         SerialCpuSum += median(CpuMs[I]) / 1e3;
       }
     E.WallSeconds = SerialCpuSum;
+    E.P50Ms = percentile(InstanceMs, 50.0);
+    E.TailMs = percentile(InstanceMs, 100.0);
     E.Solved = median(Solved);
-    E.OpsPerSecond = double(E.LatenciesMs.size()) / SerialCpuSum;
+    E.OpsPerSecond = double(InstanceMs.size()) / SerialCpuSum;
     for (int L = 0; L < NumLegs; ++L) {
       double Best = 0.0;
       for (size_t I = 0; I < Ops.size(); ++I)
@@ -304,6 +315,8 @@ int perfbench::runDeep(Options &Opt, Report &Rep) {
     }
     Rep.detail("deep.passes", double(Walls.size()), "count");
     Rep.detail("fleet.spawn_s", SpawnSeconds, "s");
+    St = DeepSetup(); // release before the closing set-ups
+    repeatSetup(E.SetupSeconds, SetUp);
     reportEndToEnd(E, Rep);
     return 0;
   }
@@ -331,7 +344,7 @@ int perfbench::runDeep(Options &Opt, Report &Rep) {
       continue;
     Replayed.push_back(long(I));
     replayCertificate(Ops[I].Suite->Net, *Ops[I].Prop, deepConfig(),
-                      *R.Certificate, Policy, Log, -1, long(I), L.Layers);
+                      *R.Certificate, Policy, Log, long(I), L.Layers, Rep);
   }
   L.Search = searchTotals(Log, "verify.serial");
   L.ReplayedNodeSeconds = nodeSecondsOf(Log, Replayed);

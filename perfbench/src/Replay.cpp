@@ -30,12 +30,21 @@ std::string domainKey(const DomainSpec &Spec) {
                             : Base;
 }
 
-/// Times \p Fn as a span named \p Name under \p Parent.
+bool sameVector(const Vector &A, const Vector &B) {
+  if (A.size() != B.size())
+    return false;
+  for (size_t I = 0; I < A.size(); ++I)
+    if (A[I] != B[I])
+      return false;
+  return true;
+}
+
+/// Times \p Fn as a top-level span named \p Name: the replay runs after
+/// the verify call it explains has ended.
 template <typename F>
-double timed(SpanLog &Log, const char *Name, long Parent, long Op, F &&Fn) {
+double timed(SpanLog &Log, const char *Name, long Op, F &&Fn) {
   Span S;
   S.Name = Name;
-  S.Parent = Parent;
   S.Op = Op;
   S.Start = now();
   Fn();
@@ -51,8 +60,8 @@ void perfbench::replayCertificate(const Network &Net,
                                   const VerifierConfig &Config,
                                   const ProofCertificate &Cert,
                                   const VerificationPolicy &Policy,
-                                  SpanLog &Log, long Parent, long Op,
-                                  LayerTotals &T) {
+                                  SpanLog &Log, long Op, LayerTotals &T,
+                                  Report &Rep) {
   // Parents before children: the child's warm start is its parent's
   // witness, exactly as the engine hands it down.
   std::vector<size_t> Order(Cert.Nodes.size());
@@ -62,6 +71,21 @@ void perfbench::replayCertificate(const Network &Net,
   });
   std::map<std::vector<uint8_t>, Vector> Witness;
   size_t K = Prop.TargetClass;
+  // Each replayed node is gated: it must reach the recorded outcome with
+  // the recorded justification (counterexample and objective, domain and
+  // margin, or split dimension), bit for bit.
+  auto Expect = [&](const CertNode &Node, CertNodeKind Got, bool Same) {
+    Rep.attempt();
+    if (Node.Kind == Got && Same)
+      return;
+    std::string Path;
+    for (uint8_t Bit : Node.Path)
+      Path += char('0' + Bit);
+    Rep.fail(Prop.Name + ": replayed node [" + Path + "] is " +
+             toString(Got) +
+             (Node.Kind == Got ? " on other evidence" : "") +
+             ", the certificate says " + toString(Node.Kind));
+  };
   for (size_t Idx : Order) {
     const CertNode &Node = Cert.Nodes[Idx];
     if (Node.Kind == CertNodeKind::Pruned)
@@ -82,39 +106,42 @@ void perfbench::replayCertificate(const Network &Net,
     Search.EarlyStopObjective = Config.Delta;
     PgdResult P;
     ++T.PgdCalls;
-    T.PgdSeconds += timed(Log, "pgdMinimize", Parent, Op, [&] {
+    T.PgdSeconds += timed(Log, "pgdMinimize", Op, [&] {
       P = pgdMinimize(Net, Node.Region, K, Search, R, Warm);
     });
     if (P.Objective <= Config.Delta) {
       ++T.PgdFalsified;
-      T.Mismatches += Node.Kind != CertNodeKind::Falsified;
+      Expect(Node, CertNodeKind::Falsified,
+             P.Objective == Node.CexObjective && sameVector(P.X, Node.Cex));
       continue;
     }
 
     RobustnessProperty Sub{Node.Region, K, Prop.Name};
     DomainSpec Spec;
     ++T.PolicyCalls;
-    T.PolicySeconds += timed(Log, "chooseDomain", Parent, Op, [&] {
+    T.PolicySeconds += timed(Log, "chooseDomain", Op, [&] {
       Spec = Policy.chooseDomain(Net, Sub, P.X, P.Objective);
     });
     ++T.DomainCalls[domainKey(Spec)];
     AnalysisResult A;
     ++T.AnalyzeCalls;
-    T.AnalyzeSeconds += timed(Log, "analyzeRobustness", Parent, Op, [&] {
+    T.AnalyzeSeconds += timed(Log, "analyzeRobustness", Op, [&] {
       A = analyzeRobustness(Net, Node.Region, K, Spec, nullptr,
                             Config.Precision);
     });
     if (A.Verified) {
       ++T.AnalyzeVerified;
-      T.Mismatches += Node.Kind != CertNodeKind::Verified;
+      Expect(Node, CertNodeKind::Verified,
+             Spec == Node.Domain && A.Margin == Node.Margin);
       T.Leaves.push_back({&Net, Node.Region, K});
       continue;
     }
-    T.Mismatches += Node.Kind != CertNodeKind::Split;
     ++T.PolicyCalls;
-    T.PolicySeconds += timed(Log, "choosePartition", Parent, Op, [&] {
-      (void)Policy.choosePartition(Net, Sub, P.X, P.Objective);
+    SplitChoice Split;
+    T.PolicySeconds += timed(Log, "choosePartition", Op, [&] {
+      Split = Policy.choosePartition(Net, Sub, P.X, P.Objective);
     });
+    Expect(Node, CertNodeKind::Split, Split.Dim == Node.SplitDim);
     Witness.emplace(Node.Path, std::move(P.X));
   }
 }
@@ -182,7 +209,6 @@ void perfbench::reportLayers(const LayerReport &L, uint64_t Seed,
   Rep.metric("trace.overhead_share",
              L.UntracedWall > 0 ? L.TracedWall / L.UntracedWall - 1.0 : 0.0,
              "ratio");
-  Rep.detail("trace.replay_mismatches", double(T.Mismatches), "count");
   if (L.Spans)
     for (const auto &[Name, N] : L.Spans->totals()) {
       Rep.detail("span." + Name + ".count", double(N.Count), "count");

@@ -10,8 +10,11 @@
 /// for it — pgdMinimize with the node's path seed and its parent's witness,
 /// VerificationPolicy::chooseDomain, analyzeRobustness under the chosen
 /// domain, VerificationPolicy::choosePartition — each timed as a span.
-/// Verified leaves are then re-analysed under every domain to guard the
-/// domain kernels the default policy never picks.
+/// Each replayed node is a gated operation: an outcome that differs from
+/// the certificate's fails the run, since the split would then no longer
+/// describe the procedure the engine runs. Verified leaves are then
+/// re-analysed under every domain to guard the domain kernels the default
+/// policy never picks.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,9 +34,6 @@ struct LayerTotals {
   long PolicyCalls = 0;
   long AnalyzeCalls = 0;
   long AnalyzeVerified = 0;
-  /// Replayed nodes whose outcome differs from the certificate's (the
-  /// replay is deterministic, so this should stay 0).
-  long Mismatches = 0;
   double PgdSeconds = 0.0;
   double PolicySeconds = 0.0;
   double AnalyzeSeconds = 0.0;
@@ -51,12 +51,13 @@ struct LayerTotals {
   }
 };
 
-/// Replays every expanded node of \p Cert, adding spans under \p Parent.
+/// Replays every expanded node of \p Cert as spans of operation \p Op,
+/// gating each node's outcome against the certificate in \p Rep.
 void replayCertificate(const Network &Net, const RobustnessProperty &Prop,
                        const VerifierConfig &Config,
                        const ProofCertificate &Cert,
                        const VerificationPolicy &Policy, SpanLog &Log,
-                       long Parent, long Op, LayerTotals &Totals);
+                       long Op, LayerTotals &Totals, Report &Rep);
 
 /// Re-analyses up to \p MaxLeaves recorded leaves (a seeded sample) under
 /// each domain and prints/returns abstract.replay_s.<domain>.

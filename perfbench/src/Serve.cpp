@@ -12,7 +12,9 @@
 // (certificate re-check hits) of queries answered before the run, whose
 // answers the cache file holds. Each request is timed from its due time;
 // the generator (this thread) stamps completions by polling the handles
-// between arrivals.
+// between arrivals. The service's executor times each cache miss's verify
+// call on its worker thread, and each phase's service CPU time is taken,
+// for the bounded figures.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +26,7 @@
 #include "support/Random.h"
 
 #include <sys/stat.h>
+#include <time.h>
 
 #include <algorithm>
 #include <chrono>
@@ -37,12 +40,23 @@ using namespace perfbench;
 
 namespace {
 
-/// Arrival rates (requests per second) of the three phases, and the share
-/// of --seconds each lasts. The last rate is above the service's capacity;
-/// its phase is short because the backlog it builds takes longer to drain.
+/// Arrival rates (requests per second). The last is above the service's
+/// capacity.
 const double Rates[] = {250.0, 500.0, 3000.0};
-const double PhaseShares[] = {0.4, 0.4, 0.1};
+constexpr int NumRates = 3;
 constexpr int MidRate = 1;
+/// The phases in run order: a rate (index into Rates) and the share of
+/// --seconds the phase lasts. The middle rate, whose figures are bounded,
+/// opens and closes the run, so they span the run instead of one stretch
+/// of it. The overload phase is short because the backlog it
+/// builds takes longer to drain.
+struct PhaseSpec {
+  int Rate;
+  double Share;
+};
+const PhaseSpec Phases[] = {{MidRate, 0.3}, {0, 0.2}, {2, 0.1}, {MidRate, 0.3}};
+constexpr int NumPhases = 4;
+constexpr int OverloadPhase = 2; ///< index into Phases
 /// p99 latency limit from due time, at the middle rate.
 constexpr double LatencyLimitMs = 250.0;
 /// Per-request verification deadline.
@@ -65,10 +79,6 @@ constexpr double ImageShare = 0.03;
 /// With these the cache answers about a third of the requests, which keeps
 /// the median inside the miss class instead of on the hit/miss edge.
 constexpr double RepeatShare = 0.08;
-/// Consecutive windows (about a second each at the default length) of the
-/// middle-rate phase; latency percentiles are medians of the per-window
-/// values, so a host stall of a second or two moves at most two windows.
-constexpr size_t LatencyWindows = 8;
 /// Latency recorded for a Timeout or failed request (a miss).
 constexpr double MissMs = 1e6;
 
@@ -153,12 +163,32 @@ struct History {
   std::vector<VerifyResult> Results;
 };
 
+/// CPU seconds the calling thread has run.
+double threadCpuSeconds() {
+  timespec Ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &Ts);
+  return double(Ts.tv_sec) + double(Ts.tv_nsec) * 1e-9;
+}
+
 /// A live service: registry ids line up with Serving::Nets.
 struct Live {
   std::unique_ptr<VerificationService> Service;
+  /// Thread-CPU seconds of each cache miss's Verifier::verify call, taken
+  /// on the worker that ran it; negative for a request that did not verify.
+  /// Indexed by the number a request carries as its property name
+  /// (request() sets it).
+  std::shared_ptr<std::vector<double>> VerifyCpu =
+      std::make_shared<std::vector<double>>();
   std::vector<NetworkId> Ids;
   double StartSeconds = 0.0;
   double ReplaySeconds = 0.0;
+};
+
+/// One set-up: the networks and a service that has replayed the cache
+/// file.
+struct ServeSetup {
+  BaseSetup Base;
+  Live L;
 };
 
 Live startService(const Serving &S, const std::string &CacheFile) {
@@ -167,6 +197,18 @@ Live startService(const Serving &S, const std::string &CacheFile) {
   ServiceConfig SC;
   SC.Workers = std::max(1u, hostThreads() - 1); // one core for the generator
   SC.CacheCapacity = 1 << 16;
+  // The executor is the service's own miss path (a sequential Verifier
+  // under the service's policy) with the call timed on its worker thread.
+  SC.Executor = [Policy = pinnedPolicy(), VerifyCpu = L.VerifyCpu](
+                    const Network &Net, const RobustnessProperty &Prop,
+                    const VerifierConfig &VC, const SearchCheckpoint *Resume) {
+    double Cpu = threadCpuSeconds();
+    VerifyResult R = Verifier(Net, Policy, VC).verify(Prop, Resume);
+    size_t Slot = size_t(std::stoul(Prop.Name));
+    if (Slot < VerifyCpu->size())
+      (*VerifyCpu)[Slot] = threadCpuSeconds() - Cpu;
+    return R;
+  };
   L.Service = std::make_unique<VerificationService>(pinnedPolicy(), SC);
   for (const Network *N : S.Nets)
     L.Ids.push_back(L.Service->registry().add(N->clone()));
@@ -180,10 +222,13 @@ Live startService(const Serving &S, const std::string &CacheFile) {
   return L;
 }
 
-JobRequest request(const Live &L, const Query &Q) {
+/// The request for \p Q, the \p Slot-th of its phase. The property's name
+/// (not part of any cache key) carries the slot for the executor.
+JobRequest request(const Live &L, const Query &Q, size_t Slot) {
   JobRequest Req;
   Req.Net = L.Ids[Q.Net];
   Req.Prop = Q.Prop;
+  Req.Prop.Name = std::to_string(Slot);
   Req.Config = serveConfig(Q.SecondConfig);
   return Req;
 }
@@ -210,7 +255,7 @@ History makeHistory(const Serving &S, uint64_t Seed, const std::string &Path) {
   Live L = startService(S, Path);
   std::vector<JobHandle> Handles;
   for (const Query &Q : H.Queries)
-    Handles.push_back(L.Service->submit(request(L, Q)));
+    Handles.push_back(L.Service->submit(request(L, Q, Handles.size())));
   for (JobHandle &Hd : Handles)
     H.Results.push_back(Hd.outcome().Result);
   L.Service->shutdown();
@@ -278,11 +323,15 @@ std::vector<std::pair<double, Query>> makeStream(const Serving &S,
 struct Record {
   double Due = 0.0, Submit = 0.0, Done = 0.0;
   JobOutcome Out;
+  double VerifyCpu = -1.0; ///< see Live::VerifyCpu
 };
 
 struct PhaseResult {
   std::vector<Record> Records;
   double Makespan = 0.0;
+  /// CPU seconds the service's threads spent while the phase ran: process
+  /// CPU time less the generator thread's.
+  double ServiceCpu = 0.0;
   size_t Backlog = 0; ///< requests still open when the last one arrived
 };
 
@@ -295,6 +344,8 @@ PhaseResult runPhase(Live &L, const std::vector<std::pair<double, Query>> &Strea
   std::vector<JobHandle> Handles(N);
   std::vector<long> SpanIds(N, -1);
   std::vector<size_t> Open;
+  L.VerifyCpu->assign(N, -1.0);
+  double ProcessCpu = processCpuSeconds(), GeneratorCpu = threadCpuSeconds();
   double Base = now() + 0.005;
   size_t Next = 0;
   while (Next < N || !Open.empty()) {
@@ -311,7 +362,7 @@ PhaseResult runPhase(Live &L, const std::vector<std::pair<double, Query>> &Strea
     if (Next < N && T >= Base + Stream[Next].first) {
       Record &Rec = P.Records[Next];
       Rec.Due = Base + Stream[Next].first;
-      JobRequest Req = request(L, Stream[Next].second);
+      JobRequest Req = request(L, Stream[Next].second, Next);
       if (Log) {
         Span S;
         S.Name = "submit";
@@ -330,8 +381,11 @@ PhaseResult runPhase(Live &L, const std::vector<std::pair<double, Query>> &Strea
     std::this_thread::sleep_for(
         std::chrono::duration<double>(std::clamp(Wait, 0.0, 100e-6)));
   }
+  P.ServiceCpu = (processCpuSeconds() - ProcessCpu) -
+                 (threadCpuSeconds() - GeneratorCpu);
   for (size_t I = 0; I < N; ++I) {
     P.Records[I].Out = Handles[I].outcome();
+    P.Records[I].VerifyCpu = (*L.VerifyCpu)[I];
     if (Log) {
       Span S;
       S.Name = "submit";
@@ -402,8 +456,8 @@ void gatePhase(Options &Opt, const Serving &S, const History &H,
 }
 
 struct ServeRun {
-  PhaseResult Phases[3];
-  std::vector<std::pair<double, Query>> Streams[3];
+  PhaseResult Phases[NumPhases];
+  std::vector<std::pair<double, Query>> Streams[NumPhases];
   CacheStats Cache; ///< summed over the phases' services
   long LogBytes = 0; ///< cache-file bytes appended during the phases
   unsigned Workers = 0;
@@ -423,15 +477,15 @@ Live restartService(const Options &Opt, const Serving &S) {
   return startService(S, livePath(Opt));
 }
 
-/// Runs the three phases, each on a service restarted from the same cache
-/// file so every rate sees the same cache state.
+/// Runs the phases, each on a service restarted from the same cache file
+/// so every phase sees the same cache state.
 ServeRun runAllPhases(const Serving &S, const History &H, const Options &Opt,
                       SpanLog *Log) {
   ServeRun Run;
   Rng R(Opt.Seed * 0x94d049bb133111ebull + 7);
-  for (int K = 0; K < 3; ++K) {
-    Run.Streams[K] =
-        makeStream(S, H, R, Rates[K], Opt.Seconds * PhaseShares[K]);
+  for (int K = 0; K < NumPhases; ++K) {
+    Run.Streams[K] = makeStream(S, H, R, Rates[Phases[K].Rate],
+                                Opt.Seconds * Phases[K].Share);
     Live L = restartService(Opt, S);
     long Before = fileBytes(livePath(Opt));
     Run.Phases[K] = runPhase(L, Run.Streams[K], Log, long(K) * 1000000);
@@ -456,45 +510,64 @@ double runSeconds(const ServeRun &Run) {
 
 void reportService(const ServeRun &Run, EndToEnd &E, Report &Rep) {
   double Sustained = 0.0;
-  for (int K = 0; K < 3; ++K) {
+  for (int Rate = 0; Rate < NumRates; ++Rate) {
     std::vector<double> Lat;
-    for (const Record &Rec : Run.Phases[K].Records)
-      Lat.push_back(latencyMs(Rec));
+    size_t Backlog = 0;
+    double Cpu = 0.0;
+    for (int K = 0; K < NumPhases; ++K) {
+      if (Phases[K].Rate != Rate)
+        continue;
+      for (const Record &Rec : Run.Phases[K].Records)
+        Lat.push_back(latencyMs(Rec));
+      Backlog = std::max(Backlog, Run.Phases[K].Backlog);
+      Cpu += Run.Phases[K].ServiceCpu;
+    }
     double P99 = percentile(Lat, 99.0);
-    std::string Tag = "serve.r" + std::to_string(int(Rates[K]));
+    std::string Tag = "serve.r" + std::to_string(int(Rates[Rate]));
     Rep.detail(Tag + ".p50_ms", percentile(Lat, 50.0), "ms");
     Rep.detail(Tag + ".p90_ms", percentile(Lat, 90.0), "ms");
     Rep.detail(Tag + ".p99_ms", P99, "ms");
-    Rep.detail(Tag + ".backlog", double(Run.Phases[K].Backlog), "count");
-    if (P99 <= LatencyLimitMs && Run.Phases[K].Backlog <= 2 * Run.Workers)
-      Sustained = Rates[K];
+    Rep.detail(Tag + ".backlog", double(Backlog), "count");
+    Rep.detail(Tag + ".cpu_ms", Cpu * 1e3 / double(Lat.size()), "ms");
+    if (P99 <= LatencyLimitMs && Backlog <= 2 * Run.Workers)
+      Sustained = Rates[Rate];
   }
-  const PhaseResult &Mid = Run.Phases[MidRate];
-  std::vector<double> Late, Queue, RunMs;
+  // The bounded figures are CPU time, like slate's and cegar's. On a
+  // shared host the wall time of the same verify call moved by up to 75%
+  // between stretches of one run (the vCPU taken away, a busy sibling), and
+  // the latency percentiles from due time with it; the wall figures above
+  // and the service.* lines stay printed for reading, not bounding. p50 and
+  // tail are over the middle rate's cache misses: thread CPU time of the
+  // verify call, p50 and p90 (p99 falls among the image queries, whose
+  // wide kernels also run on the kernel pool's threads).
+  std::vector<double> Late, Queue, RunMs, MissCpuMs;
   long Misses = 0, Within = 0;
-  for (const Record &Rec : Mid.Records) {
-    double Ms = latencyMs(Rec);
-    E.LatenciesMs.push_back(Ms);
-    Misses += Ms >= MissMs;
-    Within += Ms <= LatencyLimitMs;
-    Late.push_back((Rec.Submit - Rec.Due) * 1e3);
-    Queue.push_back(Rec.Out.QueueSeconds * 1e3);
-    RunMs.push_back(Rec.Out.RunSeconds * 1e3);
+  for (int K = 0; K < NumPhases; ++K) {
+    if (Phases[K].Rate != MidRate)
+      continue;
+    for (const Record &Rec : Run.Phases[K].Records) {
+      double Ms = latencyMs(Rec);
+      Misses += Ms >= MissMs;
+      Within += Ms <= LatencyLimitMs;
+      Late.push_back((Rec.Submit - Rec.Due) * 1e3);
+      Queue.push_back(Rec.Out.QueueSeconds * 1e3);
+      RunMs.push_back(Rec.Out.RunSeconds * 1e3);
+      if (Rec.VerifyCpu >= 0.0)
+        MissCpuMs.push_back(Rec.VerifyCpu * 1e3);
+    }
   }
-  // p50/p90 are medians over consecutive windows of the phase, and the
-  // bounded tail is p90 (p99 is printed above): on a shared host a stall of
-  // a few hundred ms now and then delays about 1% of a phase's requests and
-  // swings its p99 several-fold between identical runs.
-  E.TailPercentile = 90.0;
-  for (size_t W = 0; W < LatencyWindows; ++W)
-    E.Windows.emplace_back(
-        E.LatenciesMs.begin() + long(W * E.LatenciesMs.size() / LatencyWindows),
-        E.LatenciesMs.begin() +
-            long((W + 1) * E.LatenciesMs.size() / LatencyWindows));
-  const PhaseResult &High = Run.Phases[2];
-  E.WallSeconds = High.Makespan;
+  E.P50Ms = percentile(MissCpuMs, 50.0);
+  E.TailMs = percentile(MissCpuMs, 90.0);
+  double ServiceCpu = 0.0;
+  for (const PhaseResult &P : Run.Phases)
+    ServiceCpu += P.ServiceCpu;
+  const PhaseResult &High = Run.Phases[OverloadPhase];
+  E.WallSeconds = ServiceCpu;
   E.Solved = double(Within);
-  E.OpsPerSecond = double(High.Records.size()) / High.Makespan;
+  E.OpsPerSecond = double(High.Records.size()) / High.ServiceCpu;
+  Rep.detail("serve.miss_samples", double(MissCpuMs.size()), "count");
+  Rep.detail("serve.overload_qps",
+             double(High.Records.size()) / High.Makespan, "1/s");
   Rep.detail("serve.sustained_qps", Sustained, "1/s");
   Rep.detail("serve.deadline_misses", double(Misses), "count");
   Rep.detail("serve.late_ms", percentile(Late, 99.0), "ms");
@@ -532,16 +605,18 @@ int perfbench::runServe(Options &Opt, Report &Rep) {
   }
 
   EndToEnd E;
-  BaseSetup Base;
   std::vector<double> StartS, ReplayS;
-  for (int I = 0; I < SetupRepeats; ++I) {
-    double Start = now();
-    Base = setupBase(Opt, Rep);
-    Live L = restartService(Opt, makeServing(Base.Nets, expectedVerdicts(Opt)));
-    E.SetupSeconds.push_back(now() - Start);
-    StartS.push_back(L.StartSeconds);
-    ReplayS.push_back(L.ReplaySeconds);
-  }
+  auto SetUp = [&] {
+    ServeSetup St;
+    St.Base = setupBase(Opt, Rep);
+    St.L = restartService(Opt, makeServing(St.Base.Nets, expectedVerdicts(Opt)));
+    StartS.push_back(St.L.StartSeconds);
+    ReplayS.push_back(St.L.ReplaySeconds);
+    return St;
+  };
+  ServeSetup St = repeatSetup(E.SetupSeconds, SetUp);
+  St.L = Live(); // every phase starts its own service on the cache file
+  const BaseSetup &Base = St.Base;
   Serving S = makeServing(Base.Nets, expectedVerdicts(Opt));
   std::cout << "serve: " << std::max(1u, hostThreads() - 1)
             << " workers, rates " << Rates[0] << "/" << Rates[1] << "/"
@@ -551,7 +626,7 @@ int perfbench::runServe(Options &Opt, Report &Rep) {
 
   std::vector<const ProofCertificate *> Checked;
   auto Gate = [&](ServeRun &Run, CertCost *Cost) {
-    for (int K = 0; K < 3; ++K)
+    for (int K = 0; K < NumPhases; ++K)
       gatePhase(Opt, S, H, Run.Streams[K], Run.Phases[K], Rep, Cost, Checked);
   };
   auto Cleanup = [&] {
@@ -563,6 +638,8 @@ int perfbench::runServe(Options &Opt, Report &Rep) {
     ServeRun Run = runAllPhases(S, H, Opt, nullptr);
     Gate(Run, nullptr);
     reportService(Run, E, Rep);
+    St = ServeSetup(); // release before the closing set-ups
+    repeatSetup(E.SetupSeconds, SetUp);
     Rep.detail("setup.service_start_s", median(StartS), "s");
     Rep.detail("setup.cache_replay_s", median(ReplayS), "s");
     reportEndToEnd(E, Rep);
@@ -584,7 +661,9 @@ int perfbench::runServe(Options &Opt, Report &Rep) {
   std::vector<long> Replayed;
   VerificationPolicy Policy = pinnedPolicy();
   // The layer split covers the middle rate's cache misses.
-  for (int K = MidRate; K == MidRate; ++K)
+  for (int K = 0; K < NumPhases; ++K) {
+    if (Phases[K].Rate != MidRate)
+      continue;
     for (size_t I = 0; I < Traced.Streams[K].size(); ++I) {
       const JobOutcome &Out = Traced.Phases[K].Records[I].Out;
       const Query &Q = Traced.Streams[K][I].second;
@@ -593,9 +672,10 @@ int perfbench::runServe(Options &Opt, Report &Rep) {
       long Op = long(K) * 1000000 + long(I);
       Replayed.push_back(Op);
       replayCertificate(*S.Nets[Q.Net], Q.Prop, serveConfig(Q.SecondConfig),
-                        *Out.Result.Certificate, Policy, Log, -1, Op,
-                        LR.Layers);
+                        *Out.Result.Certificate, Policy, Log, Op, LR.Layers,
+                        Rep);
     }
+  }
   LR.Search = searchTotals(Log, "submit");
   // A request's span includes its queueing, so search.self_s is taken
   // against the service's run seconds instead.

@@ -62,7 +62,6 @@ struct PassResult {
   std::vector<VerifyResult> Results;
   std::vector<double> Seconds;
   std::vector<double> CpuSeconds; ///< process CPU time of each verify call
-  std::vector<long> SpanIds; ///< verify span per operation (traced pass)
   double Wall = 0.0;
 };
 
@@ -91,7 +90,6 @@ PassResult runPass(const std::vector<SlateOp> &Ops,
       S.Start = T0;
       S.End = T1;
       Log->replace(Id, S);
-      P.SpanIds.push_back(Id);
     }
   }
   P.Wall = now() - Start;
@@ -112,12 +110,8 @@ void gatePass(Options &Opt, const std::vector<SlateOp> &Ops, PassResult &P,
 
 int perfbench::runSlate(Options &Opt, Report &Rep) {
   EndToEnd E;
-  BaseSetup Base;
-  for (int I = 0; I < SetupRepeats; ++I) {
-    double Start = now();
-    Base = setupBase(Opt, Rep);
-    E.SetupSeconds.push_back(now() - Start);
-  }
+  auto SetUp = [&] { return setupBase(Opt, Rep); };
+  BaseSetup Base = repeatSetup(E.SetupSeconds, SetUp);
   VerificationPolicy Policy = pinnedPolicy();
   std::vector<SlateOp> Ops = pickSlate(Base.Nets, Opt.Seed);
   std::cout << "slate: " << Ops.size() << " properties at " << SlateBudget
@@ -125,7 +119,7 @@ int perfbench::runSlate(Options &Opt, Report &Rep) {
 
   if (!Opt.Trace) {
     double Start = now();
-    std::vector<double> Walls, Solved, DecidedWallMs;
+    std::vector<double> Walls, Solved, LatenciesMs, DecidedWallMs;
     do {
       PassResult P = runPass(Ops, Policy, nullptr);
       long Decided = 0;
@@ -135,8 +129,8 @@ int perfbench::runSlate(Options &Opt, Report &Rep) {
         // rank of each percentile then does not move when a property near
         // the budget flips between decided and Timeout.
         bool Timeout = P.Results[I].Result == Outcome::Timeout;
-        E.LatenciesMs.push_back(Timeout ? SlateBudget * 1e3
-                                        : P.CpuSeconds[I] * 1e3);
+        LatenciesMs.push_back(Timeout ? SlateBudget * 1e3
+                                      : P.CpuSeconds[I] * 1e3);
         if (!Timeout) {
           ++Decided;
           DecidedWallMs.push_back(P.Seconds[I] * 1e3);
@@ -151,11 +145,14 @@ int perfbench::runSlate(Options &Opt, Report &Rep) {
     E.WallSeconds = median(Walls);
     E.Solved = median(Solved);
     E.OpsPerSecond = E.Solved / E.WallSeconds;
+    E.P50Ms = percentile(LatenciesMs, 50.0);
     // About a sixth of the slate times out, so p90 would read the budget.
-    E.TailPercentile = 75.0;
+    E.TailMs = percentile(LatenciesMs, 75.0);
     Rep.detail("slate.passes", double(Walls.size()), "count");
     Rep.detail("slate.ttv_p50_ms", percentile(DecidedWallMs, 50.0), "ms");
     Rep.detail("slate.ttv_p90_ms", percentile(DecidedWallMs, 90.0), "ms");
+    Base = BaseSetup(); // release before the closing set-ups
+    repeatSetup(E.SetupSeconds, SetUp);
     reportEndToEnd(E, Rep);
     return 0;
   }
@@ -175,8 +172,7 @@ int perfbench::runSlate(Options &Opt, Report &Rep) {
       continue;
     Replayed.push_back(long(I));
     replayCertificate(Ops[I].Suite->Net, *Ops[I].Prop, slateConfig(),
-                      *R.Certificate, Policy, Log, P.SpanIds[I], long(I),
-                      L.Layers);
+                      *R.Certificate, Policy, Log, long(I), L.Layers, Rep);
   }
   L.Search = searchTotals(Log, "verify");
   L.ReplayedNodeSeconds = nodeSecondsOf(Log, Replayed);

@@ -6,7 +6,6 @@
 
 #include "Workloads.h"
 
-#include <algorithm>
 #include <iostream>
 
 using namespace perfbench;
@@ -35,24 +34,6 @@ const ExpectedVerdicts &perfbench::expectedVerdicts(const Options &Opt) {
 }
 
 void perfbench::reportEndToEnd(const EndToEnd &E, Report &Rep) {
-  double P50 = percentile(E.LatenciesMs, 50.0);
-  double TailP = E.TailPercentile > 0 ? E.TailPercentile
-                                      : tailPercentile(E.LatenciesMs.size());
-  double Tail = percentile(E.LatenciesMs, TailP);
-  if (!E.Windows.empty()) {
-    size_t Smallest = E.Windows.front().size();
-    for (const std::vector<double> &W : E.Windows)
-      Smallest = std::min(Smallest, W.size());
-    if (E.TailPercentile <= 0)
-      TailP = tailPercentile(Smallest);
-    std::vector<double> P50s, Tails;
-    for (const std::vector<double> &W : E.Windows) {
-      P50s.push_back(percentile(W, 50.0));
-      Tails.push_back(percentile(W, TailP));
-    }
-    P50 = median(P50s);
-    Tail = median(Tails);
-  }
   std::cout << "setup samples (s):";
   for (double S : E.SetupSeconds)
     std::cout << " " << S;
@@ -60,10 +41,8 @@ void perfbench::reportEndToEnd(const EndToEnd &E, Report &Rep) {
   Rep.metric("setup_s", median(E.SetupSeconds), "s");
   Rep.metric("peak_rss_mb", peakRssMb(), "MB");
   Rep.metric("wall_s", E.WallSeconds, "s");
-  Rep.metric("p50_ms", P50, "ms");
-  Rep.metric("tail_ms", Tail, "ms");
+  Rep.metric("p50_ms", E.P50Ms, "ms");
+  Rep.metric("tail_ms", E.TailMs, "ms");
   Rep.metric("solved", E.Solved, "count");
   Rep.metric("ops_per_s", E.OpsPerSecond, "1/s");
-  Rep.detail("tail_percentile", TailP, "p");
-  Rep.detail("latency_samples", double(E.LatenciesMs.size()), "count");
 }

@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Each workload sets itself up several times (setup_s is the median),
-/// measures for Options::Seconds with tracing off and prints the
-/// end-to-end metrics, or, with Options::Trace, runs once untraced and once
-/// traced and prints the per-layer metrics. Every verdict passes the
-/// correctness gate either way.
+/// Each workload sets itself up several times before and again after its
+/// measured phase (setup_s is the median of all set-ups), measures for
+/// Options::Seconds with tracing off and prints the end-to-end metrics, or,
+/// with Options::Trace, runs once untraced and once traced and prints the
+/// per-layer metrics. Every verdict passes the correctness gate either way.
 ///
 /// End-to-end metrics, common to all workloads (README.md maps them):
 /// setup_s, peak_rss_mb, wall_s, p50_ms, tail_ms, solved, ops_per_s.
@@ -23,8 +23,25 @@
 
 namespace perfbench {
 
-/// Set-up repetitions per run; setup_s reports their median.
-inline constexpr int SetupRepeats = 7;
+/// Set-up repetitions at each end of the measured phase; setup_s reports
+/// the median of all of them. A host slowdown lasting a few seconds then
+/// moves the samples at one end only.
+inline constexpr int SetupRepeats = 6;
+
+/// Runs \p SetUp SetupRepeats times, appending the wall seconds of each
+/// call to \p Seconds, and returns the last call's state. The previous
+/// state is destroyed before each timed call.
+template <typename F>
+auto repeatSetup(std::vector<double> &Seconds, F &&SetUp) {
+  decltype(SetUp()) State{};
+  for (int I = 0; I < SetupRepeats; ++I) {
+    State = {};
+    double Start = now();
+    State = SetUp();
+    Seconds.push_back(now() - Start);
+  }
+  return State;
+}
 
 /// The set-up every workload shares: trained networks from the
 /// benchmark's cache and the golden ONNX fixtures.
@@ -38,17 +55,13 @@ BaseSetup setupBase(const Options &Opt, Report &Rep);
 /// The pinned expected verdicts shipped next to the benchmark.
 const ExpectedVerdicts &expectedVerdicts(const Options &Opt);
 
-/// The seven latency/size metrics every workload prints untraced.
+/// The seven latency/size metrics every workload prints untraced (peak
+/// RSS is read when they are printed).
 struct EndToEnd {
   std::vector<double> SetupSeconds;
   double WallSeconds = 0.0;
-  std::vector<double> LatenciesMs; ///< per decided operation
-  /// Percentile reported as tail_ms; 0 picks the highest with at least ten
-  /// samples beyond it.
-  double TailPercentile = 0.0;
-  /// When set, p50_ms and tail_ms are the medians of the per-window
-  /// percentiles instead of percentiles of LatenciesMs.
-  std::vector<std::vector<double>> Windows;
+  double P50Ms = 0.0;
+  double TailMs = 0.0;
   double Solved = 0.0;
   double OpsPerSecond = 0.0;
 };
