@@ -12,6 +12,8 @@
 //                  (Dense+Sigmoid body) -> Flatten -> Gemm. Exercises every
 //                  importer feature in one graph.
 //   mlp-sigmoid    MatMul + Add bias -> Sigmoid -> Gemm.
+//   nan-gemm       One Gemm(2 -> 3) whose weight "w_nan" holds a NaN; the
+//                  importer must reject it (malformed-input smoke).
 //
 // Weights are closed-form functions of their indices, so the emitted bytes
 // are identical on every run and platform.
@@ -107,11 +109,25 @@ std::vector<unsigned char> buildMlpSigmoid() {
   return B.finish("mlp-sigmoid");
 }
 
+/// Gemm(2 -> 3) with one NaN weight.
+std::vector<unsigned char> buildNanGemm() {
+  std::vector<double> W = weightBlock(15, 3 * 2);
+  W[3] = std::nan("");
+  ModelBuilder B;
+  B.setInput("x", {1, 2});
+  B.addInitializer("w_nan", {3, 2}, W);
+  B.addInitializer("b", {3}, weightBlock(16, 3));
+  B.addNode("Gemm", {"x", "w_nan", "b"}, {"y"},
+            {ModelBuilder::Attr::ofInt("transB", 1)});
+  B.setOutput("y", {1, 3});
+  return B.finish("nan-gemm");
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
   if (Argc != 3) {
-    std::fprintf(stderr, "usage: %s <mixed|mlp-sigmoid> <out.onnx>\n",
+    std::fprintf(stderr, "usage: %s <mixed|mlp-sigmoid|nan-gemm> <out.onnx>\n",
                  Argv[0]);
     return 2;
   }
@@ -120,6 +136,8 @@ int main(int Argc, char **Argv) {
     Bytes = buildMixed();
   else if (!std::strcmp(Argv[1], "mlp-sigmoid"))
     Bytes = buildMlpSigmoid();
+  else if (!std::strcmp(Argv[1], "nan-gemm"))
+    Bytes = buildNanGemm();
   else {
     std::fprintf(stderr, "error: unknown fixture '%s'\n", Argv[1]);
     return 2;

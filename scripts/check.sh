@@ -50,6 +50,10 @@
 # must agree and the serve response streams must be byte-identical; the
 # sanitize leg runs the importer and the smooth transformers instrumented
 # with forced-threaded kernels.
+# A malformed-input smoke closes the run: oversized .net, .prop and
+# certificate files, a NaN request line and a NaN-weight ONNX model must
+# each be rejected with a diagnostic and an exit code in 1..127 (never a
+# signal); the sanitize leg runs them under ASan + UBSan.
 # Before any of that, scripts/check_test_registration.sh asserts every
 # tests/*/*Tests.cpp file is registered in the ctest suite.
 # Usage: scripts/check.sh [--sanitize]
@@ -538,3 +542,66 @@ done
 cmp "$ONNX_DIR/serial.norm" "$ONNX_DIR/fleet.norm"
 grep -q '"outcome":"verified"' "$ONNX_DIR/serial.out"
 echo "onnx smoke: import + verify OK, serial/fleet responses identical"
+
+# Malformed-input smoke: each byte boundary must turn a malformed input
+# into a diagnostic and an exit code in 1..127, never a signal (an abort
+# in the allocator, a segfault on a NaN) and never a sanitizer report. The
+# inputs: a .net and a .prop declaring sizes their bytes cannot hold, a
+# certificate declaring 10^17 nodes, a request line with NaN bounds, and
+# an ONNX model with a NaN weight. The sanitize leg runs every loader
+# under ASan + UBSan.
+BAD_DIR="$BUILD_DIR/malformed-smoke"
+rm -rf "$BAD_DIR"
+mkdir -p "$BAD_DIR"
+printf 'charon-network 1 1\ndense 200000 200000\n0 0\n' > "$BAD_DIR/huge.net"
+printf 'charon-property 1\nname huge\ntarget 0\ndim 100000000000\n' \
+  > "$BAD_DIR/huge.prop"
+printf 'lower 0\nupper 1\n' >> "$BAD_DIR/huge.prop"
+{
+  echo "charon-cert 1"
+  echo "verdict verified"
+  echo "network 1 property 2 config 3"
+  echo "delta 9.9999999999999995e-07"
+  echo "dim 5 class 0"
+  echo "nodes 99999999999999999"
+  echo "end"
+} > "$BAD_DIR/huge.cert"
+printf '{"network":"%s","label":0,"lower":[nan,0,0,0,0],%s}\n' \
+  "$TRACE_DIR/acas.net" '"upper":[nan,1,1,1,1],"budget":1' \
+  > "$BAD_DIR/nan.jsonl"
+"$BUILD_DIR/examples/onnx_fixture_gen" nan-gemm "$BAD_DIR/nan.onnx" \
+  >/dev/null
+{
+  echo "charon-property 1"
+  echo "name nan-gemm"
+  echo "target 0"
+  echo "dim 2"
+  echo "lower 0 0"
+  echo "upper 1 1"
+} > "$BAD_DIR/nan-gemm.prop"
+expect_rejected() {
+  local NAME=$1
+  shift
+  set +e
+  env "${TRACE_ENV[@]}" "$@" > "$BAD_DIR/$NAME.out" 2> "$BAD_DIR/$NAME.err"
+  local RC=$?
+  set -e
+  if [[ "$RC" -lt 1 || "$RC" -gt 127 ]] || [[ ! -s "$BAD_DIR/$NAME.err" ]] ||
+     grep -qE 'Sanitizer|runtime error' "$BAD_DIR/$NAME.err"; then
+    echo "malformed-input smoke: $NAME exited $RC" >&2
+    cat "$BAD_DIR/$NAME.err" >&2
+    exit 1
+  fi
+  echo "malformed-input smoke: $NAME rejected (rc=$RC):" \
+       "$(head -n1 "$BAD_DIR/$NAME.err")"
+}
+expect_rejected huge-net "$BUILD_DIR/examples/charon_cli" \
+  "$BAD_DIR/huge.net" "$TRACE_DIR/acas-1.prop"
+expect_rejected huge-prop "$BUILD_DIR/examples/charon_cli" \
+  "$TRACE_DIR/acas.net" "$BAD_DIR/huge.prop"
+expect_rejected huge-cert "$BUILD_DIR/examples/charon_check" \
+  "$TRACE_DIR/acas.net" "$TRACE_DIR/acas-1.prop" "$BAD_DIR/huge.cert"
+expect_rejected nan-request "$BUILD_DIR/examples/charon_serve" \
+  "$BAD_DIR/nan.jsonl" --no-cache --workers 1
+expect_rejected nan-onnx "$BUILD_DIR/examples/charon_cli" \
+  "$BAD_DIR/nan.onnx" "$BAD_DIR/nan-gemm.prop"

@@ -5,13 +5,12 @@
 #include "core/Digest.h"
 #include "core/Property.h"
 #include "search/ProofTree.h"
+#include "support/TextCodec.h"
 
 #include <array>
 #include <cassert>
-#include <fstream>
-#include <iomanip>
 #include <set>
-#include <sstream>
+#include <utility>
 
 using namespace charon;
 
@@ -34,41 +33,26 @@ namespace {
 /// Lowercase format keyword of a base domain (distinct from the
 /// human-facing toString(DomainSpec), which certificates must not depend
 /// on: "Zonotope^2" would collide with the whitespace-tokenized parser).
-const char *domainKeyword(BaseDomainKind B) {
-  switch (B) {
-  case BaseDomainKind::Interval:
-    return "interval";
-  case BaseDomainKind::Zonotope:
-    return "zonotope";
-  case BaseDomainKind::SymbolicInterval:
-    return "symbolic-interval";
-  case BaseDomainKind::Polyhedra:
-    return "polyhedra";
-  }
+constexpr std::pair<BaseDomainKind, std::string_view> DomainKeywords[] = {
+    {BaseDomainKind::Interval, "interval"},
+    {BaseDomainKind::Zonotope, "zonotope"},
+    {BaseDomainKind::SymbolicInterval, "symbolic-interval"},
+    {BaseDomainKind::Polyhedra, "polyhedra"}};
+
+std::string_view domainKeyword(BaseDomainKind B) {
+  for (const auto &[Kind, Word] : DomainKeywords)
+    if (Kind == B)
+      return Word;
   return "?";
 }
 
-bool parseDomainKeyword(const std::string &Token, BaseDomainKind &Out) {
-  if (Token == "interval")
-    Out = BaseDomainKind::Interval;
-  else if (Token == "zonotope")
-    Out = BaseDomainKind::Zonotope;
-  else if (Token == "symbolic-interval")
-    Out = BaseDomainKind::SymbolicInterval;
-  else if (Token == "polyhedra")
-    Out = BaseDomainKind::Polyhedra;
-  else
-    return false;
-  return true;
-}
-
-void writePath(std::ostream &Os, const std::vector<uint8_t> &Path) {
-  if (Path.empty()) {
-    Os << "-";
-    return;
-  }
-  for (uint8_t Bit : Path)
-    Os << (Bit ? '1' : '0');
+bool parseDomainKeyword(std::string_view Token, BaseDomainKind &Out) {
+  for (const auto &[Kind, Word] : DomainKeywords)
+    if (Word == Token) {
+      Out = Kind;
+      return true;
+    }
+  return false;
 }
 
 ProofCertificate certificateShell(const Network &Net,
@@ -173,188 +157,131 @@ ProofCertificate charon::buildFalsifiedCertificate(
   return Cert;
 }
 
-void charon::saveCertificate(const ProofCertificate &Cert, std::ostream &Os) {
-  Os << std::setprecision(17);
-  Os << "charon-cert 1\n";
-  Os << "verdict "
-     << (Cert.Verdict == Outcome::Verified ? "verified" : "falsified") << "\n";
-  Os << "network " << Cert.NetworkFingerprint << " property "
-     << Cert.PropertyDigest << " config " << Cert.ConfigDigest << "\n";
-  Os << "delta " << Cert.Delta << "\n";
-  Os << "dim " << Cert.Dim << " class " << Cert.TargetClass << "\n";
-  Os << "nodes " << Cert.Nodes.size() << "\n";
+std::string charon::serializeCertificate(const ProofCertificate &Cert) {
+  TextWriter W;
+  W << "charon-cert 1\n";
+  W << "verdict "
+    << (Cert.Verdict == Outcome::Verified ? "verified" : "falsified") << "\n";
+  W << "network " << Cert.NetworkFingerprint << " property "
+    << Cert.PropertyDigest << " config " << Cert.ConfigDigest << "\n";
+  W << "delta " << Cert.Delta << "\n";
+  W << "dim " << Cert.Dim << " class " << Cert.TargetClass << "\n";
+  W << "nodes " << Cert.Nodes.size() << "\n";
   for (const CertNode &N : Cert.Nodes) {
-    Os << "node ";
-    writePath(Os, N.Path);
-    Os << " " << toString(N.Kind);
+    W << "node ";
+    W.path(N.Path) << " " << toString(N.Kind);
     switch (N.Kind) {
     case CertNodeKind::Split:
-      Os << " " << N.SplitDim << " " << N.SplitCut;
+      W << " " << N.SplitDim << " " << N.SplitCut;
       break;
     case CertNodeKind::Verified:
-      Os << " " << domainKeyword(N.Domain.Base) << " " << N.Domain.Disjuncts
-         << " " << N.Margin;
+      W << " " << domainKeyword(N.Domain.Base) << " " << N.Domain.Disjuncts
+        << " " << N.Margin;
       break;
     case CertNodeKind::Falsified:
-      Os << " " << N.CexObjective;
+      W << " " << N.CexObjective;
       break;
     case CertNodeKind::Pruned:
       break;
     }
-    Os << "\nlower";
-    for (size_t I = 0; I < N.Region.dim(); ++I)
-      Os << " " << N.Region.lower()[I];
-    Os << "\nupper";
-    for (size_t I = 0; I < N.Region.dim(); ++I)
-      Os << " " << N.Region.upper()[I];
-    Os << "\n";
+    W << "\nlower";
+    W.values(N.Region.lower().data(), N.Region.dim());
+    W << "\nupper";
+    W.values(N.Region.upper().data(), N.Region.dim());
+    W << "\n";
     if (N.Kind == CertNodeKind::Falsified) {
-      Os << "cex";
-      for (size_t I = 0; I < N.Cex.size(); ++I)
-        Os << " " << N.Cex[I];
-      Os << "\n";
+      W << "cex";
+      W.values(N.Cex.data(), N.Cex.size());
+      W << "\n";
     }
   }
-  Os << "end\n";
+  W << "end\n";
+  return W.take();
 }
 
-std::string charon::serializeCertificate(const ProofCertificate &Cert) {
-  std::ostringstream Os;
-  saveCertificate(Cert, Os);
-  return Os.str();
-}
-
-std::optional<ProofCertificate> charon::loadCertificate(std::istream &Is) {
-  std::string Magic, Key, Token;
-  int Version = 0;
-  if (!(Is >> Magic >> Version) || Magic != "charon-cert" || Version != 1)
-    return std::nullopt;
-
+std::optional<ProofCertificate>
+charon::deserializeCertificate(std::string_view Text) {
+  TextReader R(Text);
   ProofCertificate Cert;
-  if (!(Is >> Key >> Token) || Key != "verdict")
+  std::string_view Verdict;
+  if (!R.header("charon-cert", 1) || !R.keyword("verdict") ||
+      !R.token(Verdict))
     return std::nullopt;
-  if (Token == "verified")
+  if (Verdict == "verified")
     Cert.Verdict = Outcome::Verified;
-  else if (Token == "falsified")
+  else if (Verdict == "falsified")
     Cert.Verdict = Outcome::Falsified;
   else
     return std::nullopt;
 
-  if (!(Is >> Key >> Cert.NetworkFingerprint) || Key != "network")
-    return std::nullopt;
-  if (!(Is >> Key >> Cert.PropertyDigest) || Key != "property")
-    return std::nullopt;
-  if (!(Is >> Key >> Cert.ConfigDigest) || Key != "config")
-    return std::nullopt;
-  if (!(Is >> Key >> Cert.Delta) || Key != "delta")
-    return std::nullopt;
-  if (!(Is >> Key >> Cert.Dim) || Key != "dim")
-    return std::nullopt;
-  if (!(Is >> Key >> Cert.TargetClass) || Key != "class")
-    return std::nullopt;
-
   size_t Count = 0;
-  if (!(Is >> Key >> Count) || Key != "nodes")
+  if (!R.keyword("network") || !R.integer(Cert.NetworkFingerprint) ||
+      !R.keyword("property") || !R.integer(Cert.PropertyDigest) ||
+      !R.keyword("config") || !R.integer(Cert.ConfigDigest) ||
+      !R.keyword("delta") || !R.f64(Cert.Delta) || !R.keyword("dim") ||
+      !R.count(Cert.Dim) || !R.keyword("class") ||
+      !R.integer(Cert.TargetClass) || !R.keyword("nodes") || !R.count(Count))
     return std::nullopt;
   if (Count > 0 && Cert.Dim == 0)
     return std::nullopt;
 
   std::set<std::vector<uint8_t>> Seen;
-  Cert.Nodes.reserve(Count);
   for (size_t N = 0; N < Count; ++N) {
     CertNode Node;
-    if (!(Is >> Key >> Token) || Key != "node")
-      return std::nullopt;
-    if (Token != "-") {
-      Node.Path.reserve(Token.size());
-      for (char C : Token) {
-        if (C != '0' && C != '1')
-          return std::nullopt;
-        Node.Path.push_back(C == '1' ? 1 : 0);
-      }
-    }
+    std::string_view Kind;
     // Two justifications for the same subregion make the certificate
     // ambiguous; reject rather than pick one.
-    if (!Seen.insert(Node.Path).second)
+    if (!R.keyword("node") || !R.path(Node.Path) ||
+        !Seen.insert(Node.Path).second || !R.token(Kind))
       return std::nullopt;
-
-    if (!(Is >> Token))
-      return std::nullopt;
-    if (Token == "split") {
+    if (Kind == "split") {
       Node.Kind = CertNodeKind::Split;
-      if (!(Is >> Node.SplitDim >> Node.SplitCut))
+      if (!R.integer(Node.SplitDim) || !R.f64(Node.SplitCut) ||
+          Node.SplitDim >= Cert.Dim)
         return std::nullopt;
-      if (Node.SplitDim >= Cert.Dim)
-        return std::nullopt;
-    } else if (Token == "verified") {
+    } else if (Kind == "verified") {
       Node.Kind = CertNodeKind::Verified;
-      std::string DomainTok;
-      if (!(Is >> DomainTok) || !parseDomainKeyword(DomainTok, Node.Domain.Base))
+      // Only domains the analyzer can build: 1..64 disjuncts (the fuzz
+      // domain-spec bound), and no powerset over symbolic intervals.
+      std::string_view Domain;
+      DomainSpec &D = Node.Domain;
+      if (!R.token(Domain) || !parseDomainKeyword(Domain, D.Base) ||
+          !R.integer(D.Disjuncts) || !R.f64(Node.Margin) ||
+          D.Disjuncts < 1 || D.Disjuncts > 64 ||
+          (D.Base == BaseDomainKind::SymbolicInterval && D.Disjuncts > 1))
         return std::nullopt;
-      if (!(Is >> Node.Domain.Disjuncts >> Node.Margin))
-        return std::nullopt;
-      if (Node.Domain.Disjuncts < 1)
-        return std::nullopt;
-    } else if (Token == "falsified") {
+    } else if (Kind == "falsified") {
       Node.Kind = CertNodeKind::Falsified;
-      if (!(Is >> Node.CexObjective))
+      if (!R.f64(Node.CexObjective))
         return std::nullopt;
-    } else if (Token == "pruned") {
+    } else if (Kind == "pruned") {
       Node.Kind = CertNodeKind::Pruned;
     } else {
       return std::nullopt;
     }
 
-    Vector Lo(Cert.Dim), Hi(Cert.Dim);
-    if (!(Is >> Key) || Key != "lower")
+    std::vector<double> Lo, Hi, Cex;
+    if (!R.box(Cert.Dim, Lo, Hi))
       return std::nullopt;
-    for (size_t I = 0; I < Cert.Dim; ++I)
-      if (!(Is >> Lo[I]))
-        return std::nullopt;
-    if (!(Is >> Key) || Key != "upper")
-      return std::nullopt;
-    for (size_t I = 0; I < Cert.Dim; ++I)
-      if (!(Is >> Hi[I]))
-        return std::nullopt;
-    for (size_t I = 0; I < Cert.Dim; ++I)
-      if (Lo[I] > Hi[I])
-        return std::nullopt;
-    Node.Region = Box(std::move(Lo), std::move(Hi));
-
+    Node.Region = Box(Vector(std::move(Lo)), Vector(std::move(Hi)));
     if (Node.Kind == CertNodeKind::Falsified) {
-      Node.Cex = Vector(Cert.Dim);
-      if (!(Is >> Key) || Key != "cex")
+      if (!R.keyword("cex") || !R.values(Cert.Dim, Cex))
         return std::nullopt;
-      for (size_t I = 0; I < Cert.Dim; ++I)
-        if (!(Is >> Node.Cex[I]))
-          return std::nullopt;
+      Node.Cex = Vector(std::move(Cex));
     }
     Cert.Nodes.push_back(std::move(Node));
   }
-  if (!(Is >> Key) || Key != "end")
+  if (!R.keyword("end"))
     return std::nullopt;
   return Cert;
 }
 
-std::optional<ProofCertificate>
-charon::deserializeCertificate(const std::string &Text) {
-  std::istringstream Is(Text);
-  return loadCertificate(Is);
-}
-
 bool charon::saveCertificateFile(const ProofCertificate &Cert,
                                  const std::string &Path) {
-  std::ofstream Os(Path);
-  if (!Os)
-    return false;
-  saveCertificate(Cert, Os);
-  return static_cast<bool>(Os);
+  return saveFile(Path, serializeCertificate(Cert));
 }
 
 std::optional<ProofCertificate>
 charon::loadCertificateFile(const std::string &Path) {
-  std::ifstream Is(Path);
-  if (!Is)
-    return std::nullopt;
-  return loadCertificate(Is);
+  return loadFile(Path, deserializeCertificate);
 }

@@ -58,9 +58,9 @@
 #include "core/Verifier.h"
 #include "linalg/Box.h"
 
-#include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace charon {
@@ -144,19 +144,14 @@ ProofCertificate buildFalsifiedCertificate(const Network &Net,
                                            const Vector &Cex,
                                            double CexObjective);
 
-/// Writes \p Cert to \p Os in the documented text format.
-void saveCertificate(const ProofCertificate &Cert, std::ostream &Os);
-
-/// Renders \p Cert as a string (the byte-identity canonical form).
+/// Renders \p Cert in the documented text format (the byte-identity
+/// canonical form).
 std::string serializeCertificate(const ProofCertificate &Cert);
 
-/// Parses a certificate from \p Is; nullopt on malformed input (unknown
-/// keywords, non-numeric values, inverted bounds, duplicate node paths,
-/// truncation).
-std::optional<ProofCertificate> loadCertificate(std::istream &Is);
-
-/// Parses a certificate from the canonical string form.
-std::optional<ProofCertificate> deserializeCertificate(const std::string &Text);
+/// Parses a certificate; nullopt on malformed input (unknown keywords,
+/// non-numeric or non-finite values, inverted bounds, duplicate node paths,
+/// declared sizes the text cannot hold, truncation).
+std::optional<ProofCertificate> deserializeCertificate(std::string_view Text);
 
 /// File-path convenience wrappers.
 bool saveCertificateFile(const ProofCertificate &Cert, const std::string &Path);

@@ -93,9 +93,12 @@ DomainSpec VerificationPolicy::chooseDomain(const Network &Net,
   DomainSpec Spec;
   Spec.Base = squash(Out[0]) < 0.5 ? BaseDomainKind::Interval
                                    : BaseDomainKind::Zonotope;
-  // Discretize the second output over the disjunct menu {1, 2, 4, 8}.
+  // Discretize the second output over the disjunct menu {1, 2, 4, 8}. A NaN
+  // output (non-finite arithmetic inside the network) takes the first slot
+  // instead of an out-of-range index.
   static constexpr int Menu[4] = {1, 2, 4, 8};
-  int Idx = std::min(3, static_cast<int>(squash(Out[1]) * 4.0));
+  double Slot = squash(Out[1]) * 4.0;
+  int Idx = Slot >= 3.0 ? 3 : Slot >= 0.0 ? static_cast<int>(Slot) : 0;
   Spec.Disjuncts = Menu[Idx];
   return Spec;
 }

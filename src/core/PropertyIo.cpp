@@ -2,71 +2,61 @@
 
 #include "core/PropertyIo.h"
 
-#include <fstream>
-#include <iomanip>
+#include "support/TextCodec.h"
+
+#include <ostream>
 
 using namespace charon;
 
+std::string charon::serializeProperty(const RobustnessProperty &Prop) {
+  const Box &Region = Prop.Region;
+  TextWriter W;
+  W << "charon-property 1\n";
+  W << "name " << (Prop.Name.empty() ? "unnamed" : Prop.Name) << "\n";
+  W << "target " << Prop.TargetClass << "\n";
+  W << "dim " << Region.dim() << "\n";
+  W << "lower";
+  W.values(Region.lower().data(), Region.dim());
+  W << "\nupper";
+  W.values(Region.upper().data(), Region.dim());
+  W << "\n";
+  return W.take();
+}
+
+std::optional<RobustnessProperty> charon::readProperty(TextReader &R) {
+  RobustnessProperty Prop;
+  std::string_view Name;
+  size_t Dim = 0;
+  std::vector<double> Lo, Hi;
+  if (!R.header("charon-property", 1) || !R.keyword("name") ||
+      !R.token(Name) || !R.keyword("target") ||
+      !R.integer(Prop.TargetClass) || !R.keyword("dim") || !R.count(Dim) ||
+      Dim == 0 || !R.box(Dim, Lo, Hi))
+    return std::nullopt;
+  Prop.Name = Name;
+  Prop.Region = Box(Vector(std::move(Lo)), Vector(std::move(Hi)));
+  return Prop;
+}
+
+static std::optional<RobustnessProperty> parseProperty(std::string_view Text) {
+  TextReader R(Text);
+  return readProperty(R);
+}
+
 void charon::saveProperty(const RobustnessProperty &Prop, std::ostream &Os) {
-  Os << "charon-property 1\n";
-  Os << "name " << (Prop.Name.empty() ? "unnamed" : Prop.Name) << "\n";
-  Os << "target " << Prop.TargetClass << "\n";
-  Os << "dim " << Prop.Region.dim() << "\n" << std::setprecision(17);
-  Os << "lower";
-  for (size_t I = 0, E = Prop.Region.dim(); I < E; ++I)
-    Os << " " << Prop.Region.lower()[I];
-  Os << "\nupper";
-  for (size_t I = 0, E = Prop.Region.dim(); I < E; ++I)
-    Os << " " << Prop.Region.upper()[I];
-  Os << "\n";
+  Os << serializeProperty(Prop);
 }
 
 std::optional<RobustnessProperty> charon::loadProperty(std::istream &Is) {
-  std::string Magic, Key;
-  int Version = 0;
-  if (!(Is >> Magic >> Version) || Magic != "charon-property" || Version != 1)
-    return std::nullopt;
-
-  RobustnessProperty Prop;
-  size_t Dim = 0;
-  if (!(Is >> Key >> Prop.Name) || Key != "name")
-    return std::nullopt;
-  if (!(Is >> Key >> Prop.TargetClass) || Key != "target")
-    return std::nullopt;
-  if (!(Is >> Key >> Dim) || Key != "dim" || Dim == 0)
-    return std::nullopt;
-
-  Vector Lo(Dim), Hi(Dim);
-  if (!(Is >> Key) || Key != "lower")
-    return std::nullopt;
-  for (size_t I = 0; I < Dim; ++I)
-    if (!(Is >> Lo[I]))
-      return std::nullopt;
-  if (!(Is >> Key) || Key != "upper")
-    return std::nullopt;
-  for (size_t I = 0; I < Dim; ++I)
-    if (!(Is >> Hi[I]))
-      return std::nullopt;
-  for (size_t I = 0; I < Dim; ++I)
-    if (Lo[I] > Hi[I])
-      return std::nullopt;
-  Prop.Region = Box(std::move(Lo), std::move(Hi));
-  return Prop;
+  return parseProperty(readStream(Is));
 }
 
 bool charon::savePropertyFile(const RobustnessProperty &Prop,
                               const std::string &Path) {
-  std::ofstream Os(Path);
-  if (!Os)
-    return false;
-  saveProperty(Prop, Os);
-  return static_cast<bool>(Os);
+  return saveFile(Path, serializeProperty(Prop));
 }
 
 std::optional<RobustnessProperty>
 charon::loadPropertyFile(const std::string &Path) {
-  std::ifstream Is(Path);
-  if (!Is)
-    return std::nullopt;
-  return loadProperty(Is);
+  return loadFile(Path, parseProperty);
 }

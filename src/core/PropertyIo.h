@@ -29,6 +29,7 @@
 #include <string>
 
 namespace charon {
+class TextReader;
 
 /// Writes the property to \p Os in the documented text format.
 void saveProperty(const RobustnessProperty &Prop, std::ostream &Os);
@@ -36,6 +37,11 @@ void saveProperty(const RobustnessProperty &Prop, std::ostream &Os);
 /// Parses a property from \p Is; nullopt on malformed input (bad magic,
 /// inverted bounds, truncated data).
 std::optional<RobustnessProperty> loadProperty(std::istream &Is);
+
+/// The same format as a string, and one property block read at the cursor
+/// (for formats that embed a property, such as fuzz repro files).
+std::string serializeProperty(const RobustnessProperty &Prop);
+std::optional<RobustnessProperty> readProperty(TextReader &R);
 
 /// File-path convenience wrappers.
 bool savePropertyFile(const RobustnessProperty &Prop, const std::string &Path);

@@ -89,6 +89,17 @@ struct VerifyStats {
   }
 };
 
+/// VerifyStats' integer counters in the order the checkpoint, cache-log and
+/// fleet formats store them (checkpoints keep only the first eight, which
+/// predate CEGAR).
+inline constexpr long VerifyStats::*StatsCounters[] = {
+    &VerifyStats::PgdCalls,           &VerifyStats::AnalyzeCalls,
+    &VerifyStats::Splits,             &VerifyStats::MaxDepth,
+    &VerifyStats::IntervalChoices,    &VerifyStats::ZonotopeChoices,
+    &VerifyStats::DisjunctSum,        &VerifyStats::NodesExpanded,
+    &VerifyStats::CegarRounds,        &VerifyStats::CegarSpuriousCexes,
+    &VerifyStats::CegarFallbacks,     &VerifyStats::CegarAbstractNeurons};
+
 /// Result of a verification run. Counterexample is populated iff
 /// Result == Falsified, and then satisfies F(x) <= Delta (delta-
 /// completeness: it is a true counterexample or within delta of one).

@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <csignal>
 #include <set>
-#include <sstream>
 
 #include <fcntl.h>
 #include <poll.h>
@@ -175,8 +174,6 @@ VerifyResult FleetCoordinator::verify(const Network &Net,
   uint64_t NetFp = fingerprintNetwork(Net);
   uint64_t PropDig = digestProperty(Prop);
   uint64_t SemDig = digestVerifierConfigSemantics(Cfg);
-  std::ostringstream NetOs;
-  saveNetwork(Net, NetOs);
 
   SearchCheckpoint Root;
   if (Resume && Resume->NetworkFingerprint == NetFp &&
@@ -204,7 +201,7 @@ VerifyResult FleetCoordinator::verify(const Network &Net,
   J->Cfg = Cfg;
   J->Spec = runSpecFromJob(Cfg, Prop, NetFp);
   J->NetFp = NetFp;
-  J->NetText = NetOs.str();
+  J->NetText = serializeNetwork(Net);
   J->DeadlineAt = Cfg.TimeLimitSeconds > 0 ? now() + Cfg.TimeLimitSeconds : -1;
   J->Outstanding = 1;
   J->Report.PerWorkerExpanded.assign(Config.Workers, 0);

@@ -7,55 +7,29 @@
 #include "support/JsonLine.h"
 
 using namespace charon;
-using json::appendEscaped;
-using json::appendNumber;
-using json::appendNumberArray;
 using json::formatU64;
+using json::ObjectWriter;
 using json::parseU64;
+using json::toInteger;
 using json::Value;
 
 namespace {
 
-bool setError(std::string *Error, const std::string &Msg) {
+/// Stores \p Msg as the parse error and yields the failed result.
+std::nullopt_t fail(std::string *Error, const std::string &Msg) {
   if (Error)
     *Error = Msg;
-  return false;
+  return std::nullopt;
 }
 
-void appendStats(std::string &Out, const VerifyStats &S) {
-  std::vector<double> A = {
-      static_cast<double>(S.PgdCalls),
-      static_cast<double>(S.AnalyzeCalls),
-      static_cast<double>(S.Splits),
-      static_cast<double>(S.MaxDepth),
-      static_cast<double>(S.IntervalChoices),
-      static_cast<double>(S.ZonotopeChoices),
-      static_cast<double>(S.DisjunctSum),
-      static_cast<double>(S.NodesExpanded),
-      static_cast<double>(S.CegarRounds),
-      static_cast<double>(S.CegarSpuriousCexes),
-      static_cast<double>(S.CegarFallbacks),
-      static_cast<double>(S.CegarAbstractNeurons),
-      S.Seconds};
-  appendNumberArray(Out, A);
-}
-
+/// Stats travel as the twelve StatsCounters followed by Seconds.
 bool statsFromArray(const std::vector<double> &A, VerifyStats &S) {
-  if (A.size() != 13)
+  if (A.size() != std::size(StatsCounters) + 1)
     return false;
-  S.PgdCalls = static_cast<long>(A[0]);
-  S.AnalyzeCalls = static_cast<long>(A[1]);
-  S.Splits = static_cast<long>(A[2]);
-  S.MaxDepth = static_cast<long>(A[3]);
-  S.IntervalChoices = static_cast<long>(A[4]);
-  S.ZonotopeChoices = static_cast<long>(A[5]);
-  S.DisjunctSum = static_cast<long>(A[6]);
-  S.NodesExpanded = static_cast<long>(A[7]);
-  S.CegarRounds = static_cast<long>(A[8]);
-  S.CegarSpuriousCexes = static_cast<long>(A[9]);
-  S.CegarFallbacks = static_cast<long>(A[10]);
-  S.CegarAbstractNeurons = static_cast<long>(A[11]);
-  S.Seconds = A[12];
+  for (size_t I = 0; I < std::size(StatsCounters); ++I)
+    if (!toInteger(A[I], S.*StatsCounters[I]))
+      return false;
+  S.Seconds = A.back();
   return true;
 }
 
@@ -67,58 +41,41 @@ bool statsFromArray(const std::vector<double> &A, VerifyStats &S) {
 
 std::string charon::formatLoadCommand(uint64_t Fingerprint,
                                       const std::string &NetworkText) {
-  std::string Out = "{\"cmd\":\"load\",\"fingerprint\":";
-  appendEscaped(Out, formatU64(Fingerprint));
-  Out += ",\"network\":";
-  appendEscaped(Out, NetworkText);
-  Out.push_back('}');
-  return Out;
+  return ObjectWriter()
+      .str("cmd", "load")
+      .str("fingerprint", formatU64(Fingerprint))
+      .str("network", NetworkText)
+      .done();
 }
 
 std::string charon::formatRunCommand(const RunSpec &Spec) {
-  std::string Out = "{\"cmd\":\"run\",\"shard\":";
-  appendNumber(Out, static_cast<double>(Spec.Shard));
-  Out += ",\"fingerprint\":";
-  appendEscaped(Out, formatU64(Spec.Fingerprint));
-  Out += ",\"label\":";
-  appendNumber(Out, static_cast<double>(Spec.Label));
-  Out += ",\"lower\":";
-  appendNumberArray(Out, Spec.Lower);
-  Out += ",\"upper\":";
-  appendNumberArray(Out, Spec.Upper);
-  Out += ",\"delta\":";
-  appendNumber(Out, Spec.Delta);
-  Out += ",\"budget\":";
-  appendNumber(Out, Spec.BudgetSeconds);
-  Out += ",\"maxdepth\":";
-  appendNumber(Out, Spec.MaxDepth);
-  Out += ",\"pgd_steps\":";
-  appendNumber(Out, Spec.PgdSteps);
-  Out += ",\"pgd_restarts\":";
-  appendNumber(Out, Spec.PgdRestarts);
-  Out += ",\"pgd_step_scale\":";
-  appendNumber(Out, Spec.PgdStepScale);
-  Out += ",\"optimizer\":";
-  appendEscaped(Out, Spec.Optimizer);
-  Out += ",\"use_cex_search\":";
-  Out += Spec.UseCexSearch ? "true" : "false";
-  Out += ",\"seed\":";
-  appendEscaped(Out, formatU64(Spec.Seed));
-  Out += ",\"order\":";
-  appendEscaped(Out, Spec.Order);
-  Out += ",\"precision\":";
-  appendEscaped(Out, Spec.Precision);
-  Out += ",\"checkpoint\":";
-  appendEscaped(Out, Spec.CheckpointText);
-  Out.push_back('}');
-  return Out;
+  return ObjectWriter()
+      .str("cmd", "run")
+      .num("shard", static_cast<double>(Spec.Shard))
+      .str("fingerprint", formatU64(Spec.Fingerprint))
+      .num("label", static_cast<double>(Spec.Label))
+      .nums("lower", Spec.Lower)
+      .nums("upper", Spec.Upper)
+      .num("delta", Spec.Delta)
+      .num("budget", Spec.BudgetSeconds)
+      .num("maxdepth", Spec.MaxDepth)
+      .num("pgd_steps", Spec.PgdSteps)
+      .num("pgd_restarts", Spec.PgdRestarts)
+      .num("pgd_step_scale", Spec.PgdStepScale)
+      .str("optimizer", Spec.Optimizer)
+      .flag("use_cex_search", Spec.UseCexSearch)
+      .str("seed", formatU64(Spec.Seed))
+      .str("order", Spec.Order)
+      .str("precision", Spec.Precision)
+      .str("checkpoint", Spec.CheckpointText)
+      .done();
 }
 
 std::string charon::formatCancelCommand(uint64_t Shard) {
-  std::string Out = "{\"cmd\":\"cancel\",\"shard\":";
-  appendNumber(Out, static_cast<double>(Shard));
-  Out.push_back('}');
-  return Out;
+  return ObjectWriter()
+      .str("cmd", "cancel")
+      .num("shard", static_cast<double>(Shard))
+      .done();
 }
 
 std::string charon::formatPingCommand() { return "{\"cmd\":\"ping\"}"; }
@@ -132,36 +89,31 @@ std::string charon::formatReadyEvent() { return "{\"event\":\"ready\"}"; }
 std::string charon::formatPongEvent() { return "{\"event\":\"pong\"}"; }
 
 std::string charon::formatLoadedEvent(uint64_t Fingerprint) {
-  std::string Out = "{\"event\":\"loaded\",\"fingerprint\":";
-  appendEscaped(Out, formatU64(Fingerprint));
-  Out.push_back('}');
-  return Out;
+  return ObjectWriter()
+      .str("event", "loaded")
+      .str("fingerprint", formatU64(Fingerprint))
+      .done();
 }
 
 std::string charon::formatDoneEvent(const FleetEvent &Ev) {
-  std::string Out = "{\"event\":\"done\",\"shard\":";
-  appendNumber(Out, static_cast<double>(Ev.Shard));
-  Out += ",\"outcome\":";
-  appendEscaped(Out, Ev.Outcome);
-  Out += ",\"cex\":";
-  appendNumberArray(Out, Ev.Cex);
-  Out += ",\"objective\":";
-  appendNumber(Out, Ev.Objective);
-  Out += ",\"stats\":";
-  appendStats(Out, Ev.Stats);
-  Out += ",\"expanded_here\":";
-  appendNumber(Out, static_cast<double>(Ev.ExpandedHere));
-  Out += ",\"checkpoint\":";
-  appendEscaped(Out, Ev.CheckpointText);
-  Out.push_back('}');
-  return Out;
+  std::vector<double> Stats;
+  for (long VerifyStats::*Counter : StatsCounters)
+    Stats.push_back(static_cast<double>(Ev.Stats.*Counter));
+  Stats.push_back(Ev.Stats.Seconds);
+  return ObjectWriter()
+      .str("event", "done")
+      .num("shard", static_cast<double>(Ev.Shard))
+      .str("outcome", Ev.Outcome)
+      .nums("cex", Ev.Cex)
+      .num("objective", Ev.Objective)
+      .nums("stats", Stats)
+      .num("expanded_here", static_cast<double>(Ev.ExpandedHere))
+      .str("checkpoint", Ev.CheckpointText)
+      .done();
 }
 
 std::string charon::formatErrorEvent(const std::string &Message) {
-  std::string Out = "{\"event\":\"error\",\"message\":";
-  appendEscaped(Out, Message);
-  Out.push_back('}');
-  return Out;
+  return ObjectWriter().str("event", "error").str("message", Message).done();
 }
 
 //===----------------------------------------------------------------------===//
@@ -174,10 +126,8 @@ std::optional<FleetCommand> charon::parseCommandLine(const std::string &Line,
   if (!json::parseObjectLine(Line, Obj, Error))
     return std::nullopt;
   auto CmdIt = Obj.find("cmd");
-  if (CmdIt == Obj.end() || CmdIt->second.K != Value::Str) {
-    setError(Error, "missing \"cmd\"");
-    return std::nullopt;
-  }
+  if (CmdIt == Obj.end() || CmdIt->second.K != Value::Str)
+    return fail(Error, "missing \"cmd\"");
   const std::string &Cmd = CmdIt->second.S;
 
   FleetCommand Out;
@@ -192,11 +142,9 @@ std::optional<FleetCommand> charon::parseCommandLine(const std::string &Line,
   if (Cmd == "cancel") {
     Out.K = FleetCommand::Kind::Cancel;
     auto It = Obj.find("shard");
-    if (It == Obj.end() || It->second.K != Value::Num || It->second.N < 0) {
-      setError(Error, "cancel needs \"shard\"");
-      return std::nullopt;
-    }
-    Out.CancelShard = static_cast<uint64_t>(It->second.N);
+    if (It == Obj.end() || It->second.K != Value::Num ||
+        !toInteger(It->second.N, Out.CancelShard))
+      return fail(Error, "cancel needs \"shard\"");
     return Out;
   }
   if (Cmd == "load") {
@@ -205,30 +153,26 @@ std::optional<FleetCommand> charon::parseCommandLine(const std::string &Line,
     auto NetIt = Obj.find("network");
     if (FpIt == Obj.end() || FpIt->second.K != Value::Str ||
         !parseU64(FpIt->second.S, Out.Fingerprint) || NetIt == Obj.end() ||
-        NetIt->second.K != Value::Str) {
-      setError(Error, "load needs \"fingerprint\" and \"network\"");
-      return std::nullopt;
-    }
+        NetIt->second.K != Value::Str)
+      return fail(Error, "load needs \"fingerprint\" and \"network\"");
     Out.NetworkText = NetIt->second.S;
     return Out;
   }
-  if (Cmd != "run") {
-    setError(Error, "unknown cmd: " + Cmd);
-    return std::nullopt;
-  }
+  if (Cmd != "run")
+    return fail(Error, "unknown cmd: " + Cmd);
 
   Out.K = FleetCommand::Kind::Run;
   RunSpec &R = Out.Run;
   for (const auto &[Key, V] : Obj) {
     if (Key == "cmd")
       continue;
-    if (Key == "shard" && V.K == Value::Num && V.N >= 0)
-      R.Shard = static_cast<uint64_t>(V.N);
+    if (Key == "shard" && V.K == Value::Num && toInteger(V.N, R.Shard))
+      ;
     else if (Key == "fingerprint" && V.K == Value::Str &&
              parseU64(V.S, R.Fingerprint))
       ;
-    else if (Key == "label" && V.K == Value::Num && V.N >= 0)
-      R.Label = static_cast<size_t>(V.N);
+    else if (Key == "label" && V.K == Value::Num && toInteger(V.N, R.Label))
+      ;
     else if (Key == "lower" && V.K == Value::NumArray)
       R.Lower = V.A;
     else if (Key == "upper" && V.K == Value::NumArray)
@@ -237,12 +181,15 @@ std::optional<FleetCommand> charon::parseCommandLine(const std::string &Line,
       R.Delta = V.N;
     else if (Key == "budget" && V.K == Value::Num)
       R.BudgetSeconds = V.N;
-    else if (Key == "maxdepth" && V.K == Value::Num)
-      R.MaxDepth = static_cast<int>(V.N);
-    else if (Key == "pgd_steps" && V.K == Value::Num)
-      R.PgdSteps = static_cast<int>(V.N);
-    else if (Key == "pgd_restarts" && V.K == Value::Num)
-      R.PgdRestarts = static_cast<int>(V.N);
+    else if (Key == "maxdepth" && V.K == Value::Num &&
+             toInteger(V.N, R.MaxDepth))
+      ;
+    else if (Key == "pgd_steps" && V.K == Value::Num &&
+             toInteger(V.N, R.PgdSteps))
+      ;
+    else if (Key == "pgd_restarts" && V.K == Value::Num &&
+             toInteger(V.N, R.PgdRestarts))
+      ;
     else if (Key == "pgd_step_scale" && V.K == Value::Num)
       R.PgdStepScale = V.N;
     else if (Key == "optimizer" && V.K == Value::Str)
@@ -257,19 +204,13 @@ std::optional<FleetCommand> charon::parseCommandLine(const std::string &Line,
       R.Precision = V.S;
     else if (Key == "checkpoint" && V.K == Value::Str)
       R.CheckpointText = V.S;
-    else {
-      setError(Error, "unknown or mistyped run key: " + Key);
-      return std::nullopt;
-    }
+    else
+      return fail(Error, "unknown or mistyped run key: " + Key);
   }
-  if (R.Lower.empty() || R.Lower.size() != R.Upper.size()) {
-    setError(Error, "run needs matching \"lower\"/\"upper\"");
-    return std::nullopt;
-  }
-  if (R.CheckpointText.empty()) {
-    setError(Error, "run needs \"checkpoint\"");
-    return std::nullopt;
-  }
+  if (R.Lower.empty() || R.Lower.size() != R.Upper.size())
+    return fail(Error, "run needs matching \"lower\"/\"upper\"");
+  if (R.CheckpointText.empty())
+    return fail(Error, "run needs \"checkpoint\"");
   return Out;
 }
 
@@ -279,10 +220,8 @@ std::optional<FleetEvent> charon::parseEventLine(const std::string &Line,
   if (!json::parseObjectLine(Line, Obj, Error))
     return std::nullopt;
   auto EvIt = Obj.find("event");
-  if (EvIt == Obj.end() || EvIt->second.K != Value::Str) {
-    setError(Error, "missing \"event\"");
-    return std::nullopt;
-  }
+  if (EvIt == Obj.end() || EvIt->second.K != Value::Str)
+    return fail(Error, "missing \"event\"");
   const std::string &Ev = EvIt->second.S;
 
   FleetEvent Out;
@@ -298,10 +237,8 @@ std::optional<FleetEvent> charon::parseEventLine(const std::string &Line,
     Out.K = FleetEvent::Kind::Loaded;
     auto It = Obj.find("fingerprint");
     if (It == Obj.end() || It->second.K != Value::Str ||
-        !parseU64(It->second.S, Out.Fingerprint)) {
-      setError(Error, "loaded needs \"fingerprint\"");
-      return std::nullopt;
-    }
+        !parseU64(It->second.S, Out.Fingerprint))
+      return fail(Error, "loaded needs \"fingerprint\"");
     return Out;
   }
   if (Ev == "error") {
@@ -311,18 +248,16 @@ std::optional<FleetEvent> charon::parseEventLine(const std::string &Line,
       Out.Message = It->second.S;
     return Out;
   }
-  if (Ev != "done") {
-    setError(Error, "unknown event: " + Ev);
-    return std::nullopt;
-  }
+  if (Ev != "done")
+    return fail(Error, "unknown event: " + Ev);
 
   Out.K = FleetEvent::Kind::Done;
   bool HaveStats = false;
   for (const auto &[Key, V] : Obj) {
     if (Key == "event")
       continue;
-    if (Key == "shard" && V.K == Value::Num && V.N >= 0)
-      Out.Shard = static_cast<uint64_t>(V.N);
+    if (Key == "shard" && V.K == Value::Num && toInteger(V.N, Out.Shard))
+      ;
     else if (Key == "outcome" && V.K == Value::Str)
       Out.Outcome = V.S;
     else if (Key == "cex" && V.K == Value::NumArray)
@@ -331,24 +266,19 @@ std::optional<FleetEvent> charon::parseEventLine(const std::string &Line,
       Out.Objective = V.N;
     else if (Key == "stats" && V.K == Value::NumArray)
       HaveStats = statsFromArray(V.A, Out.Stats);
-    else if (Key == "expanded_here" && V.K == Value::Num)
-      Out.ExpandedHere = static_cast<long>(V.N);
+    else if (Key == "expanded_here" && V.K == Value::Num &&
+             toInteger(V.N, Out.ExpandedHere))
+      ;
     else if (Key == "checkpoint" && V.K == Value::Str)
       Out.CheckpointText = V.S;
-    else {
-      setError(Error, "unknown or mistyped done key: " + Key);
-      return std::nullopt;
-    }
+    else
+      return fail(Error, "unknown or mistyped done key: " + Key);
   }
   if (Out.Outcome != "verified" && Out.Outcome != "falsified" &&
-      Out.Outcome != "timeout") {
-    setError(Error, "done needs a valid \"outcome\"");
-    return std::nullopt;
-  }
-  if (!HaveStats) {
-    setError(Error, "done needs a 13-element \"stats\"");
-    return std::nullopt;
-  }
+      Out.Outcome != "timeout")
+    return fail(Error, "done needs a valid \"outcome\"");
+  if (!HaveStats)
+    return fail(Error, "done needs a 13-element \"stats\"");
   return Out;
 }
 

@@ -7,10 +7,12 @@
 #include "nn/Conv2D.h"
 #include "nn/Dense.h"
 #include "nn/Flatten.h"
+#include "nn/Io.h"
 #include "nn/MaxPool2D.h"
 #include "nn/Relu.h"
 #include "nn/Residual.h"
 #include "support/Random.h"
+#include "support/TextCodec.h"
 
 #include <istream>
 #include <ostream>
@@ -43,7 +45,7 @@ const char *activationToken(ActivationKind K) {
   return "relu";
 }
 
-bool parseActivationToken(const std::string &Tok, ActivationKind &K) {
+bool parseActivationToken(std::string_view Tok, ActivationKind &K) {
   if (Tok == "relu")
     K = ActivationKind::Relu;
   else if (Tok == "sigmoid")
@@ -201,98 +203,121 @@ RobustnessProperty charon::generateProperty(Rng &R, const Network &Net,
   return Prop;
 }
 
-void charon::writeNetworkSpec(const NetworkSpec &Spec, std::ostream &Os) {
+std::string charon::serializeNetworkSpec(const NetworkSpec &Spec) {
+  TextWriter W;
   if (Spec.Arch == FuzzArch::Mlp) {
-    Os << "mlp " << Spec.WeightSeed << " " << Spec.Inputs << " "
-       << Spec.Outputs << " " << Spec.Hidden.size();
+    W << "mlp " << Spec.WeightSeed << " " << Spec.Inputs << " " << Spec.Outputs
+      << " " << Spec.Hidden.size();
     for (size_t H : Spec.Hidden)
-      Os << " " << H;
-    Os << " zoo " << activationToken(Spec.Act) << " "
-       << (Spec.WithResidual ? 1 : 0) << "\n";
-    return;
+      W << " " << H;
+    W << " zoo " << activationToken(Spec.Act) << " "
+      << (Spec.WithResidual ? 1 : 0) << "\n";
+    return W.take();
   }
-  Os << "conv " << Spec.WeightSeed << " " << Spec.Channels << " "
-     << Spec.Height << " " << Spec.Width << " " << Spec.ConvChannels << " "
-     << Spec.Kernel << " " << Spec.Stride << " " << Spec.Pad << " "
-     << (Spec.WithPool ? 1 : 0) << " " << Spec.Outputs << " zoo "
-     << activationToken(Spec.Act) << " " << (Spec.AvgPool ? 1 : 0) << " "
-     << (Spec.WithFlatten ? 1 : 0) << "\n";
+  W << "conv " << Spec.WeightSeed << " " << Spec.Channels << " " << Spec.Height
+    << " " << Spec.Width << " " << Spec.ConvChannels << " " << Spec.Kernel
+    << " " << Spec.Stride << " " << Spec.Pad << " " << (Spec.WithPool ? 1 : 0)
+    << " " << Spec.Outputs << " zoo " << activationToken(Spec.Act) << " "
+    << (Spec.AvgPool ? 1 : 0) << " " << (Spec.WithFlatten ? 1 : 0) << "\n";
+  return W.take();
+}
+
+void charon::writeNetworkSpec(const NetworkSpec &Spec, std::ostream &Os) {
+  Os << serializeNetworkSpec(Spec);
 }
 
 namespace {
 
-/// Consumes the optional " zoo ..." spec trailer. When the next token is
-/// not "zoo" the stream is rewound, so pre-zoo corpus files keep parsing
-/// (the fields keep their pre-zoo defaults).
-bool readZooTrailer(std::istream &Is, NetworkSpec &Spec, bool ConvFields) {
-  std::streampos Pos = Is.tellg();
-  std::string Tok;
-  if (!(Is >> Tok) || Tok != "zoo") {
-    Is.clear();
-    Is.seekg(Pos);
+/// Consumes the optional " zoo ..." spec trailer. Pre-zoo corpus files end
+/// the spec without it and keep the pre-zoo defaults.
+bool readZooTrailer(TextReader &R, NetworkSpec &Spec, bool ConvFields) {
+  if (!R.optionalKeyword("zoo"))
     return true;
-  }
+  std::string_view Act;
   int A = 0, B = 0;
-  if (!(Is >> Tok) || !parseActivationToken(Tok, Spec.Act))
+  if (!R.token(Act) || !parseActivationToken(Act, Spec.Act))
     return false;
   if (ConvFields) {
-    if (!(Is >> A >> B))
+    if (!R.integer(A) || !R.integer(B))
       return false;
     Spec.AvgPool = A != 0;
     Spec.WithFlatten = B != 0;
-    if (Spec.AvgPool && !Spec.WithPool)
-      return false;
-  } else {
-    if (!(Is >> A))
-      return false;
-    Spec.WithResidual = A != 0;
-    if (Spec.WithResidual && Spec.Hidden.empty())
-      return false;
+    return !Spec.AvgPool || Spec.WithPool;
   }
-  return true;
+  if (!R.integer(A))
+    return false;
+  Spec.WithResidual = A != 0;
+  return !Spec.WithResidual || !Spec.Hidden.empty();
 }
 
 } // namespace
 
-bool charon::readNetworkSpec(std::istream &Is, NetworkSpec &Spec) {
-  std::string Kind;
-  if (!(Is >> Kind))
+bool charon::readNetworkSpec(TextReader &R, NetworkSpec &Spec) {
+  std::string_view Kind;
+  if (!R.token(Kind))
     return false;
   if (Kind == "mlp") {
     Spec = NetworkSpec();
     Spec.Arch = FuzzArch::Mlp;
     size_t NumHidden = 0;
-    if (!(Is >> Spec.WeightSeed >> Spec.Inputs >> Spec.Outputs >> NumHidden))
+    if (!R.integer(Spec.WeightSeed) || !R.integer(Spec.Inputs) ||
+        !R.integer(Spec.Outputs) || !R.integer(NumHidden))
       return false;
     if (Spec.Inputs == 0 || Spec.Outputs == 0 || NumHidden > 64)
       return false;
     Spec.Hidden.resize(NumHidden);
-    for (size_t I = 0; I < NumHidden; ++I)
-      if (!(Is >> Spec.Hidden[I]) || Spec.Hidden[I] == 0)
+    // Weights are regenerated from the seed, so no byte count bounds the
+    // widths; cap the largest weight matrix instead.
+    double Width = static_cast<double>(Spec.Inputs);
+    for (size_t I = 0; I < NumHidden; ++I) {
+      if (!R.integer(Spec.Hidden[I]) || Spec.Hidden[I] == 0 ||
+          Width * Spec.Hidden[I] > MaxDeclaredTensorSize)
         return false;
-    return readZooTrailer(Is, Spec, /*ConvFields=*/false);
+      Width = static_cast<double>(Spec.Hidden[I]);
+    }
+    if (Width * Spec.Outputs > MaxDeclaredTensorSize)
+      return false;
+    return readZooTrailer(R, Spec, /*ConvFields=*/false);
   }
   if (Kind == "conv") {
     Spec = NetworkSpec();
     Spec.Arch = FuzzArch::Conv;
     int Pool = 0;
-    if (!(Is >> Spec.WeightSeed >> Spec.Channels >> Spec.Height >>
-          Spec.Width >> Spec.ConvChannels >> Spec.Kernel >> Spec.Stride >>
-          Spec.Pad >> Pool >> Spec.Outputs))
+    if (!R.integer(Spec.WeightSeed) || !R.integer(Spec.Channels) ||
+        !R.integer(Spec.Height) || !R.integer(Spec.Width) ||
+        !R.integer(Spec.ConvChannels) || !R.integer(Spec.Kernel) ||
+        !R.integer(Spec.Stride) || !R.integer(Spec.Pad) || !R.integer(Pool) ||
+        !R.integer(Spec.Outputs))
       return false;
     if (Spec.Channels <= 0 || Spec.Height <= 0 || Spec.Width <= 0 ||
         Spec.ConvChannels <= 0 || Spec.Kernel <= 0 || Spec.Stride <= 0 ||
         Spec.Pad < 0 || Spec.Outputs == 0)
       return false;
     // The conv output must be non-degenerate (and poolable when requested).
-    int OutH = (Spec.Height + 2 * Spec.Pad - Spec.Kernel) / Spec.Stride + 1;
-    int OutW = (Spec.Width + 2 * Spec.Pad - Spec.Kernel) / Spec.Stride + 1;
+    auto OutDim = [&Spec](int64_t In) {
+      return (In + 2 * int64_t(Spec.Pad) - Spec.Kernel) / Spec.Stride + 1;
+    };
+    int64_t OutH = OutDim(Spec.Height), OutW = OutDim(Spec.Width);
     if (OutH < 1 || OutW < 1)
       return false;
     Spec.WithPool = Pool != 0;
     if (Spec.WithPool && (OutH < 2 || OutW < 2))
       return false;
-    return readZooTrailer(Is, Spec, /*ConvFields=*/true);
+    double Kernel = static_cast<double>(Spec.Kernel);
+    if (double(Spec.Channels) * Spec.Height * Spec.Width >
+            MaxDeclaredTensorSize ||
+        double(Spec.ConvChannels) * Spec.Channels * Kernel * Kernel >
+            MaxDeclaredTensorSize ||
+        double(Spec.ConvChannels) * OutH * OutW * Spec.Outputs >
+            MaxDeclaredTensorSize)
+      return false;
+    return readZooTrailer(R, Spec, /*ConvFields=*/true);
   }
   return false;
+}
+
+bool charon::readNetworkSpec(std::istream &Is, NetworkSpec &Spec) {
+  std::string Text = readStream(Is);
+  TextReader R(Text);
+  return readNetworkSpec(R, Spec);
 }

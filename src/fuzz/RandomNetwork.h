@@ -23,10 +23,12 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <string>
 #include <vector>
 
 namespace charon {
 class Rng;
+class TextReader;
 
 /// Shape ranges the generator draws from. Defaults keep networks small
 /// enough that every abstract domain (including powersets and polyhedra)
@@ -130,9 +132,11 @@ RobustnessProperty generateProperty(Rng &R, const Network &Net,
 /// The "zoo" trailer is optional on input, so pre-zoo corpus files parse
 /// to specs with the default (ReLU, no residual/avg-pool/flatten) fields.
 void writeNetworkSpec(const NetworkSpec &Spec, std::ostream &Os);
+std::string serializeNetworkSpec(const NetworkSpec &Spec);
 
 /// Parses writeNetworkSpec() output; false on malformed input.
 bool readNetworkSpec(std::istream &Is, NetworkSpec &Spec);
+bool readNetworkSpec(TextReader &R, NetworkSpec &Spec);
 
 } // namespace charon
 

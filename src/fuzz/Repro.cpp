@@ -5,104 +5,79 @@
 #include "core/PropertyIo.h"
 #include "fuzz/Campaign.h"
 #include "support/Random.h"
+#include "support/TextCodec.h"
 
-#include <fstream>
-#include <iomanip>
-#include <sstream>
+#include <ostream>
 
 using namespace charon;
 
-void charon::saveRepro(const FuzzRepro &Repro, std::ostream &Os) {
-  Os << "charon-fuzz-repro 1\n";
-  Os << "campaign-seed " << Repro.CampaignSeed << "\n";
-  Os << "case " << Repro.CaseIndex << "\n";
-  Os << "expect " << (Repro.ExpectViolation ? "violation" : "clean") << "\n";
-  Os << "oracle " << (Repro.Oracle.empty() ? "-" : Repro.Oracle) << "\n";
-  Os << "message " << (Repro.Message.empty() ? "-" : Repro.Message) << "\n";
-  Os << std::setprecision(17);
-  Os << "samples " << Repro.Cfg.ContainmentSamples << "\n";
-  Os << "subregions " << Repro.Cfg.SubregionTrials << "\n";
-  Os << "tolerance " << Repro.Cfg.Tolerance << "\n";
-  Os << "delta " << Repro.Cfg.Delta << "\n";
-  Os << "budget " << Repro.Cfg.VerifyBudgetSeconds << "\n";
-  Os << "verifier-seed " << Repro.Cfg.VerifierSeed << "\n";
-  Os << "inject " << Repro.Cfg.InjectTighten << "\n";
-  Os << "domains " << Repro.Domains.size();
+static std::string reproText(const FuzzRepro &Repro) {
+  TextWriter W;
+  W << "charon-fuzz-repro 1\n";
+  W << "campaign-seed " << Repro.CampaignSeed << "\n";
+  W << "case " << Repro.CaseIndex << "\n";
+  W << "expect " << (Repro.ExpectViolation ? "violation" : "clean") << "\n";
+  W << "oracle " << (Repro.Oracle.empty() ? "-" : Repro.Oracle) << "\n";
+  W << "message " << (Repro.Message.empty() ? "-" : Repro.Message) << "\n";
+  W << "samples " << Repro.Cfg.ContainmentSamples << "\n";
+  W << "subregions " << Repro.Cfg.SubregionTrials << "\n";
+  W << "tolerance " << Repro.Cfg.Tolerance << "\n";
+  W << "delta " << Repro.Cfg.Delta << "\n";
+  W << "budget " << Repro.Cfg.VerifyBudgetSeconds << "\n";
+  W << "verifier-seed " << Repro.Cfg.VerifierSeed << "\n";
+  W << "inject " << Repro.Cfg.InjectTighten << "\n";
+  W << "domains " << Repro.Domains.size();
   for (const DomainSpec &D : Repro.Domains)
-    Os << " " << toString(D);
-  Os << "\n";
-  Os << "network ";
-  writeNetworkSpec(Repro.Net, Os);
-  saveProperty(Repro.Prop, Os);
+    W << " " << toString(D);
+  W << "\n";
+  W << "network " << serializeNetworkSpec(Repro.Net)
+    << serializeProperty(Repro.Prop);
+  return W.take();
 }
 
-std::optional<FuzzRepro> charon::loadRepro(std::istream &Is) {
-  std::string Magic, Key;
-  int Version = 0;
-  if (!(Is >> Magic >> Version) || Magic != "charon-fuzz-repro" ||
-      Version != 1)
-    return std::nullopt;
-
+static std::optional<FuzzRepro> parseRepro(std::string_view Text) {
+  TextReader R(Text);
   FuzzRepro Repro;
-  if (!(Is >> Key >> Repro.CampaignSeed) || Key != "campaign-seed")
-    return std::nullopt;
-  if (!(Is >> Key >> Repro.CaseIndex) || Key != "case" || Repro.CaseIndex < 0)
-    return std::nullopt;
-
-  std::string Expect;
-  if (!(Is >> Key >> Expect) || Key != "expect" ||
-      (Expect != "violation" && Expect != "clean"))
+  OracleConfig &Cfg = Repro.Cfg;
+  std::string_view Expect, Oracle;
+  if (!R.header("charon-fuzz-repro", 1) || !R.keyword("campaign-seed") ||
+      !R.integer(Repro.CampaignSeed) || !R.keyword("case") ||
+      !R.integer(Repro.CaseIndex) || Repro.CaseIndex < 0 ||
+      !R.keyword("expect") || !R.token(Expect) ||
+      (Expect != "violation" && Expect != "clean") || !R.keyword("oracle") ||
+      !R.token(Oracle) || !R.keyword("message"))
     return std::nullopt;
   Repro.ExpectViolation = Expect == "violation";
-
-  if (!(Is >> Key >> Repro.Oracle) || Key != "oracle")
-    return std::nullopt;
-  if (Repro.Oracle == "-")
-    Repro.Oracle.clear();
-
-  if (!(Is >> Key) || Key != "message")
-    return std::nullopt;
-  std::getline(Is, Repro.Message);
-  if (!Repro.Message.empty() && Repro.Message.front() == ' ')
-    Repro.Message.erase(0, 1);
-  if (Repro.Message == "-")
-    Repro.Message.clear();
-
-  if (!(Is >> Key >> Repro.Cfg.ContainmentSamples) || Key != "samples" ||
-      Repro.Cfg.ContainmentSamples < 0)
-    return std::nullopt;
-  if (!(Is >> Key >> Repro.Cfg.SubregionTrials) || Key != "subregions" ||
-      Repro.Cfg.SubregionTrials < 0)
-    return std::nullopt;
-  if (!(Is >> Key >> Repro.Cfg.Tolerance) || Key != "tolerance" ||
-      !(Repro.Cfg.Tolerance >= 0.0))
-    return std::nullopt;
-  if (!(Is >> Key >> Repro.Cfg.Delta) || Key != "delta")
-    return std::nullopt;
-  if (!(Is >> Key >> Repro.Cfg.VerifyBudgetSeconds) || Key != "budget")
-    return std::nullopt;
-  if (!(Is >> Key >> Repro.Cfg.VerifierSeed) || Key != "verifier-seed")
-    return std::nullopt;
-  if (!(Is >> Key >> Repro.Cfg.InjectTighten) || Key != "inject")
-    return std::nullopt;
+  if (Oracle != "-")
+    Repro.Oracle = Oracle;
+  std::string_view Message = R.restOfLine();
+  if (!Message.empty() && Message.front() == ' ')
+    Message.remove_prefix(1);
+  if (Message != "-")
+    Repro.Message = Message;
 
   size_t NumDomains = 0;
-  if (!(Is >> Key >> NumDomains) || Key != "domains" || NumDomains > 64)
+  if (!R.keyword("samples") || !R.integer(Cfg.ContainmentSamples) ||
+      Cfg.ContainmentSamples < 0 || !R.keyword("subregions") ||
+      !R.integer(Cfg.SubregionTrials) || Cfg.SubregionTrials < 0 ||
+      !R.keyword("tolerance") || !R.f64(Cfg.Tolerance) ||
+      !(Cfg.Tolerance >= 0.0) || !R.keyword("delta") || !R.f64(Cfg.Delta) ||
+      !R.keyword("budget") || !R.f64(Cfg.VerifyBudgetSeconds) ||
+      !R.keyword("verifier-seed") || !R.integer(Cfg.VerifierSeed) ||
+      !R.keyword("inject") || !R.f64(Cfg.InjectTighten) ||
+      !R.keyword("domains") || !R.integer(NumDomains) || NumDomains > 64)
     return std::nullopt;
   for (size_t I = 0; I < NumDomains; ++I) {
-    std::string Token;
-    if (!(Is >> Token))
-      return std::nullopt;
-    std::optional<DomainSpec> D = parseDomainSpec(Token);
-    if (!D)
+    std::string_view Token;
+    std::optional<DomainSpec> D;
+    if (!R.token(Token) || !(D = parseDomainSpec(std::string(Token))))
       return std::nullopt;
     Repro.Domains.push_back(*D);
   }
 
-  if (!(Is >> Key) || Key != "network" || !readNetworkSpec(Is, Repro.Net))
+  if (!R.keyword("network") || !readNetworkSpec(R, Repro.Net))
     return std::nullopt;
-
-  std::optional<RobustnessProperty> Prop = loadProperty(Is);
+  std::optional<RobustnessProperty> Prop = readProperty(R);
   if (!Prop)
     return std::nullopt;
   Repro.Prop = std::move(*Prop);
@@ -113,19 +88,20 @@ std::optional<FuzzRepro> charon::loadRepro(std::istream &Is) {
   return Repro;
 }
 
+void charon::saveRepro(const FuzzRepro &Repro, std::ostream &Os) {
+  Os << reproText(Repro);
+}
+
+std::optional<FuzzRepro> charon::loadRepro(std::istream &Is) {
+  return parseRepro(readStream(Is));
+}
+
 bool charon::saveReproFile(const FuzzRepro &Repro, const std::string &Path) {
-  std::ofstream Os(Path);
-  if (!Os)
-    return false;
-  saveRepro(Repro, Os);
-  return static_cast<bool>(Os);
+  return saveFile(Path, reproText(Repro));
 }
 
 std::optional<FuzzRepro> charon::loadReproFile(const std::string &Path) {
-  std::ifstream Is(Path);
-  if (!Is)
-    return std::nullopt;
-  return loadRepro(Is);
+  return loadFile(Path, parseRepro);
 }
 
 ReplayResult charon::replayRepro(const FuzzRepro &Repro) {

@@ -16,11 +16,18 @@
 
 #include "nn/Network.h"
 
+#include <cstdint>
 #include <iosfwd>
 #include <optional>
 #include <string>
 
 namespace charon {
+
+/// Largest tensor (element count) a network file or fuzz network spec may
+/// declare for data it does not carry: spatial layer shapes, conv kernels,
+/// and seed-regenerated weights. Sized far above every benchmark network;
+/// it keeps int index arithmetic exact and construction-time tables small.
+inline constexpr int64_t MaxDeclaredTensorSize = int64_t(1) << 24;
 
 /// Writes \p Net to \p Os.
 ///
@@ -37,8 +44,12 @@ namespace charon {
 /// Residual bodies recurse into the same per-layer grammar; the loader
 /// rejects bodies whose shapes the analyzer could not handle (the same
 /// affine/activation/identity restriction the ResidualLayer constructor
-/// asserts).
+/// asserts). Numbers follow support/TextCodec.h: weights must be finite,
+/// and a declared dense or conv size must fit in the bytes that follow.
 void saveNetwork(const Network &Net, std::ostream &Os);
+
+/// Renders \p Net in the same format, as a string.
+std::string serializeNetwork(const Network &Net);
 
 /// Parses a network from \p Is; returns nullopt on malformed input.
 std::optional<Network> loadNetwork(std::istream &Is);

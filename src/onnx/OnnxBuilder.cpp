@@ -2,8 +2,9 @@
 
 #include "onnx/OnnxBuilder.h"
 
+#include "support/TextCodec.h"
+
 #include <cstring>
-#include <fstream>
 
 using namespace charon;
 using namespace charon::onnx;
@@ -219,10 +220,7 @@ ModelBuilder::finish(const std::string &GraphName) const {
 
 bool charon::onnx::writeModelFile(const std::vector<unsigned char> &Bytes,
                                   const std::string &Path) {
-  std::ofstream Os(Path, std::ios::binary);
-  if (!Os)
-    return false;
-  Os.write(reinterpret_cast<const char *>(Bytes.data()),
-           static_cast<std::streamsize>(Bytes.size()));
-  return static_cast<bool>(Os);
+  return saveFile(Path, std::string_view(
+                             reinterpret_cast<const char *>(Bytes.data()),
+                             Bytes.size()));
 }

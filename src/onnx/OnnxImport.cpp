@@ -11,9 +11,9 @@
 #include "nn/Relu.h"
 #include "nn/Residual.h"
 #include "onnx/OnnxProto.h"
+#include "support/TextCodec.h"
 
 #include <cmath>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -290,6 +290,8 @@ bool Lowering::lowerGemm(const Node &N, ValueShape &VS,
   if (attrInt(N, "transA", 0) != 0)
     return fail("Gemm with transA is unsupported");
   double Beta = attrFloat(N, "beta", 1.0);
+  if (!std::isfinite(Beta))
+    return fail("Gemm beta is not finite");
   bool TransB = attrInt(N, "transB", 0) != 0;
   if (W->Dims.size() != 2)
     return fail("Gemm weight must be 2-D, got " + describeDims(W->Dims));
@@ -663,6 +665,12 @@ std::optional<Network> Lowering::run() {
            std::to_string(T.elementCount()));
       return std::nullopt;
     }
+    // The same finite-only rule as the text formats (support/TextCodec.h).
+    for (double V : T.Values)
+      if (!std::isfinite(V)) {
+        fail("initializer '" + T.Name + "' holds a non-finite value");
+        return std::nullopt;
+      }
     Init[T.Name] = &T;
   }
 
@@ -744,15 +752,14 @@ ImportResult charon::onnx::importModelBytes(const unsigned char *Data,
 }
 
 ImportResult charon::onnx::importModelFile(const std::string &Path) {
-  std::ifstream Is(Path, std::ios::binary);
-  if (!Is) {
+  std::optional<std::string> Bytes = readFile(Path);
+  if (!Bytes) {
     ImportResult R;
     R.Error = "cannot open '" + Path + "'";
     return R;
   }
-  std::vector<unsigned char> Bytes(
-      (std::istreambuf_iterator<char>(Is)), std::istreambuf_iterator<char>());
-  return importModelBytes(Bytes.data(), Bytes.size());
+  return importModelBytes(
+      reinterpret_cast<const unsigned char *>(Bytes->data()), Bytes->size());
 }
 
 bool charon::onnx::isOnnxPath(const std::string &Path) {

@@ -46,9 +46,9 @@
 #include "linalg/Box.h"
 #include "search/Frontier.h"
 
-#include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace charon {
@@ -76,19 +76,14 @@ struct SearchCheckpoint {
   std::vector<CheckpointNode> Open;
 };
 
-/// Writes \p Cp to \p Os in the documented text format.
-void saveCheckpoint(const SearchCheckpoint &Cp, std::ostream &Os);
-
-/// Renders \p Cp as a string (the byte-identity canonical form).
+/// Renders \p Cp in the documented text format (the byte-identity
+/// canonical form).
 std::string serializeCheckpoint(const SearchCheckpoint &Cp);
 
-/// Parses a checkpoint from \p Is; nullopt on malformed input (bad magic
-/// or keywords, non-numeric values, inverted bounds, duplicate node paths,
-/// truncation).
-std::optional<SearchCheckpoint> loadCheckpoint(std::istream &Is);
-
-/// Parses a checkpoint from the canonical string form.
-std::optional<SearchCheckpoint> deserializeCheckpoint(const std::string &Text);
+/// Parses a checkpoint; nullopt on malformed input (bad magic or keywords,
+/// non-numeric or non-finite values, inverted bounds, duplicate node paths,
+/// declared sizes the text cannot hold, truncation).
+std::optional<SearchCheckpoint> deserializeCheckpoint(std::string_view Text);
 
 /// File-path convenience wrappers.
 bool saveCheckpointFile(const SearchCheckpoint &Cp, const std::string &Path);

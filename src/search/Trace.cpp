@@ -2,38 +2,35 @@
 
 #include "search/Trace.h"
 
-#include <iomanip>
+#include "support/JsonLine.h"
+
 #include <memory>
 #include <mutex>
 #include <ostream>
-#include <sstream>
 #include <string_view>
 
 using namespace charon;
 
 std::string charon::traceEventToJson(const TraceEvent &Event) {
-  std::ostringstream Os;
-  Os << std::setprecision(17);
+  json::ObjectWriter W;
   if (Event.Kind && std::string_view(Event.Kind) == "cegar_round") {
-    Os << "{\"kind\":\"cegar_round\",\"round\":" << Event.Round
-       << ",\"abstract_neurons\":" << Event.AbstractNeurons
-       << ",\"original_neurons\":" << Event.OriginalNeurons
-       << ",\"spurious\":" << Event.SpuriousCexes << ",\"outcome\":\""
-       << Event.Outcome << "\",\"seconds\":" << Event.Seconds << "}";
-    return Os.str();
+    W.str("kind", "cegar_round")
+        .num("round", Event.Round)
+        .num("abstract_neurons", static_cast<double>(Event.AbstractNeurons))
+        .num("original_neurons", static_cast<double>(Event.OriginalNeurons))
+        .num("spurious", static_cast<double>(Event.SpuriousCexes));
+  } else {
+    W.str("path", Event.Path)
+        .num("depth", Event.Depth)
+        .num("diameter", Event.Diameter)
+        .num("pgd_objective", Event.PgdObjective);
+    if (Event.DomainChosen)
+      W.str("domain", toString(DomainSpec{Event.Domain.Base, 1}))
+          .num("disjuncts", Event.Domain.Disjuncts);
+    if (Event.MarginKnown)
+      W.num("margin", Event.Margin);
   }
-  Os << "{\"path\":\"" << Event.Path << "\",\"depth\":" << Event.Depth
-     << ",\"diameter\":" << Event.Diameter
-     << ",\"pgd_objective\":" << Event.PgdObjective;
-  if (Event.DomainChosen)
-    Os << ",\"domain\":\""
-       << toString(DomainSpec{Event.Domain.Base, 1}) << "\""
-       << ",\"disjuncts\":" << Event.Domain.Disjuncts;
-  if (Event.MarginKnown)
-    Os << ",\"margin\":" << Event.Margin;
-  Os << ",\"outcome\":\"" << Event.Outcome
-     << "\",\"seconds\":" << Event.Seconds << "}";
-  return Os.str();
+  return W.str("outcome", Event.Outcome).num("seconds", Event.Seconds).done();
 }
 
 TraceSink charon::makeJsonlTraceSink(std::ostream &Os) {

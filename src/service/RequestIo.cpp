@@ -8,26 +8,17 @@
 #include <istream>
 
 using namespace charon;
-using json::appendEscaped;
-using json::appendNumber;
+using json::ObjectWriter;
+using json::toInteger;
 using json::Value;
 
 namespace {
 
-void appendArray(std::string &Out, const Vector &V) {
-  Out.push_back('[');
-  for (size_t I = 0; I < V.size(); ++I) {
-    if (I)
-      Out.push_back(',');
-    appendNumber(Out, V[I]);
-  }
-  Out.push_back(']');
-}
-
-bool setError(std::string *Error, const std::string &Msg) {
+/// Stores \p Msg as the parse error and yields the failed result.
+std::nullopt_t fail(std::string *Error, const std::string &Msg) {
   if (Error)
     *Error = Msg;
-  return false;
+  return std::nullopt;
 }
 
 Vector toVector(const std::vector<double> &A) {
@@ -52,8 +43,8 @@ charon::parseRequestLine(const std::string &Line, std::string *Error) {
       Req.Network = V.S;
     else if (Key == "name" && V.K == Value::Str)
       Req.Name = V.S;
-    else if (Key == "label" && V.K == Value::Num && V.N >= 0)
-      Req.Label = static_cast<size_t>(V.N);
+    else if (Key == "label" && V.K == Value::Num && toInteger(V.N, Req.Label))
+      ;
     else if (Key == "epsilon" && V.K == Value::Num)
       Req.Epsilon = V.N;
     else if (Key == "center" && V.K == Value::NumArray)
@@ -66,58 +57,39 @@ charon::parseRequestLine(const std::string &Line, std::string *Error) {
       Req.BudgetSeconds = V.N;
     else if (Key == "delta" && V.K == Value::Num)
       Req.Delta = V.N;
-    else if (Key == "priority" && V.K == Value::Num)
-      Req.Priority = static_cast<int>(V.N);
-    else {
-      setError(Error, "unknown or mistyped key: " + Key);
-      return std::nullopt;
-    }
+    else if (Key == "priority" && V.K == Value::Num &&
+             toInteger(V.N, Req.Priority))
+      ;
+    else
+      return fail(Error, "unknown or mistyped key: " + Key);
   }
-  if (Req.Network.empty()) {
-    setError(Error, "missing \"network\"");
-    return std::nullopt;
-  }
+  if (Req.Network.empty())
+    return fail(Error, "missing \"network\"");
   bool HasBall = Req.Epsilon >= 0.0 && !Req.Center.empty();
   bool HasBox = !Req.Lower.empty() || !Req.Upper.empty();
-  if (HasBall == HasBox) {
-    setError(Error, "give exactly one of center+epsilon or lower+upper");
-    return std::nullopt;
-  }
-  if (HasBox && Req.Lower.size() != Req.Upper.size()) {
-    setError(Error, "lower/upper length mismatch");
-    return std::nullopt;
-  }
+  if (HasBall == HasBox)
+    return fail(Error, "give exactly one of center+epsilon or lower+upper");
+  if (HasBox && Req.Lower.size() != Req.Upper.size())
+    return fail(Error, "lower/upper length mismatch");
   return Req;
 }
 
 std::string charon::formatRequestLine(const ServiceRequest &Req) {
-  std::string Out = "{\"network\":";
-  appendEscaped(Out, Req.Network);
-  if (!Req.Name.empty()) {
-    Out += ",\"name\":";
-    appendEscaped(Out, Req.Name);
-  }
-  Out += ",\"label\":";
-  appendNumber(Out, static_cast<double>(Req.Label));
-  if (Req.Epsilon >= 0.0 && !Req.Center.empty()) {
-    Out += ",\"epsilon\":";
-    appendNumber(Out, Req.Epsilon);
-    Out += ",\"center\":";
-    appendArray(Out, Req.Center);
-  } else {
-    Out += ",\"lower\":";
-    appendArray(Out, Req.Lower);
-    Out += ",\"upper\":";
-    appendArray(Out, Req.Upper);
-  }
-  Out += ",\"budget\":";
-  appendNumber(Out, Req.BudgetSeconds);
-  Out += ",\"delta\":";
-  appendNumber(Out, Req.Delta);
-  Out += ",\"priority\":";
-  appendNumber(Out, Req.Priority);
-  Out.push_back('}');
-  return Out;
+  ObjectWriter W;
+  W.str("network", Req.Network);
+  if (!Req.Name.empty())
+    W.str("name", Req.Name);
+  W.num("label", static_cast<double>(Req.Label));
+  if (Req.Epsilon >= 0.0 && !Req.Center.empty())
+    W.num("epsilon", Req.Epsilon).nums("center", Req.Center.data(),
+                                       Req.Center.size());
+  else
+    W.nums("lower", Req.Lower.data(), Req.Lower.size())
+        .nums("upper", Req.Upper.data(), Req.Upper.size());
+  return W.num("budget", Req.BudgetSeconds)
+      .num("delta", Req.Delta)
+      .num("priority", Req.Priority)
+      .done();
 }
 
 std::optional<RobustnessProperty>
@@ -162,26 +134,18 @@ std::vector<BatchLine> charon::parseRequestBatch(std::istream &Is) {
 //===----------------------------------------------------------------------===//
 
 std::string charon::formatResponseLine(const ServiceResponse &Resp) {
-  std::string Out = "{\"name\":";
-  appendEscaped(Out, Resp.Name);
-  Out += ",\"network\":";
-  appendEscaped(Out, Resp.Network);
-  Out += ",\"outcome\":";
-  appendEscaped(Out, toString(Resp.Result));
-  Out += ",\"seconds\":";
-  appendNumber(Out, Resp.Seconds);
-  Out += ",\"cache_hit\":";
-  Out += Resp.CacheHit ? "true" : "false";
-  Out += ",\"cancelled\":";
-  Out += Resp.Cancelled ? "true" : "false";
-  Out += ",\"counterexample\":";
-  appendArray(Out, Resp.Counterexample);
-  if (!Resp.Error.empty()) {
-    Out += ",\"error\":";
-    appendEscaped(Out, Resp.Error);
-  }
-  Out.push_back('}');
-  return Out;
+  ObjectWriter W;
+  W.str("name", Resp.Name)
+      .str("network", Resp.Network)
+      .str("outcome", toString(Resp.Result))
+      .num("seconds", Resp.Seconds)
+      .flag("cache_hit", Resp.CacheHit)
+      .flag("cancelled", Resp.Cancelled)
+      .nums("counterexample", Resp.Counterexample.data(),
+            Resp.Counterexample.size());
+  if (!Resp.Error.empty())
+    W.str("error", Resp.Error);
+  return W.done();
 }
 
 std::optional<ServiceResponse>
@@ -203,10 +167,8 @@ charon::parseResponseLine(const std::string &Line, std::string *Error) {
         Resp.Result = Outcome::Falsified;
       else if (V.S == "timeout")
         Resp.Result = Outcome::Timeout;
-      else {
-        setError(Error, "unknown outcome: " + V.S);
-        return std::nullopt;
-      }
+      else
+        return fail(Error, "unknown outcome: " + V.S);
     } else if (Key == "seconds" && V.K == Value::Num)
       Resp.Seconds = V.N;
     else if (Key == "cache_hit" && V.K == Value::Bool)
@@ -217,10 +179,8 @@ charon::parseResponseLine(const std::string &Line, std::string *Error) {
       Resp.Counterexample = toVector(V.A);
     else if (Key == "error" && V.K == Value::Str)
       Resp.Error = V.S;
-    else {
-      setError(Error, "unknown or mistyped key: " + Key);
-      return std::nullopt;
-    }
+    else
+      return fail(Error, "unknown or mistyped key: " + Key);
   }
   return Resp;
 }

@@ -4,13 +4,11 @@
 
 #include "cert/Certificate.h"
 #include "search/Checkpoint.h"
+#include "support/TextCodec.h"
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
-#include <iomanip>
-#include <sstream>
 
 #include <fcntl.h>
 #include <sys/file.h>
@@ -172,114 +170,30 @@ namespace {
 
 constexpr const char *CacheMagic = "charon-cache 1\n";
 
-void appendRecord(std::string &Out, const CacheKey &Key, const Box &Region,
-                  size_t TargetClass, const VerifyResult &R) {
-  std::ostringstream Os;
-  Os << std::setprecision(17);
-  Os << "entry " << Key.NetworkFingerprint << " " << Key.PropertyDigest << " "
-     << Key.ConfigDigest << " " << TargetClass << "\n";
-  Os << "region " << Region.dim() << "\n";
-  Os << "lower";
-  for (size_t I = 0; I < Region.dim(); ++I)
-    Os << " " << Region.lower()[I];
-  Os << "\nupper";
-  for (size_t I = 0; I < Region.dim(); ++I)
-    Os << " " << Region.upper()[I];
-  Os << "\nresult " << toString(R.Result) << " " << R.ObjectiveAtCex << "\n";
-  Os << "cex " << R.Counterexample.size();
-  for (size_t I = 0; I < R.Counterexample.size(); ++I)
-    Os << " " << R.Counterexample[I];
-  const VerifyStats &S = R.Stats;
-  Os << "\nstats " << S.PgdCalls << " " << S.AnalyzeCalls << " " << S.Splits
-     << " " << S.MaxDepth << " " << S.IntervalChoices << " "
-     << S.ZonotopeChoices << " " << S.DisjunctSum << " " << S.NodesExpanded
-     << " " << S.CegarRounds << " " << S.CegarSpuriousCexes << " "
-     << S.CegarFallbacks << " " << S.CegarAbstractNeurons << " " << S.Seconds
-     << "\n";
+std::string recordText(const CacheKey &Key, const Box &Region,
+                       size_t TargetClass, const VerifyResult &R) {
+  TextWriter W;
+  W << "entry " << Key.NetworkFingerprint << " " << Key.PropertyDigest << " "
+    << Key.ConfigDigest << " " << TargetClass << "\n";
+  W << "region " << Region.dim() << "\n";
+  W << "lower";
+  W.values(Region.lower().data(), Region.dim());
+  W << "\nupper";
+  W.values(Region.upper().data(), Region.dim());
+  W << "\nresult " << toString(R.Result) << " " << R.ObjectiveAtCex << "\n";
+  W << "cex " << R.Counterexample.size();
+  W.values(R.Counterexample.data(), R.Counterexample.size());
+  W << "\nstats";
+  for (long VerifyStats::*Counter : StatsCounters)
+    W << " " << R.Stats.*Counter;
+  W << " " << R.Stats.Seconds << "\n";
   std::string Cert = R.Certificate ? serializeCertificate(*R.Certificate) : "";
-  Os << "cert " << Cert.size() << "\n" << Cert;
+  W << "cert " << Cert.size() << "\n" << Cert;
   std::string Cp = R.Checkpoint ? serializeCheckpoint(*R.Checkpoint) : "";
-  Os << "checkpoint " << Cp.size() << "\n" << Cp;
-  Os << "end\n";
-  Out += Os.str();
+  W << "checkpoint " << Cp.size() << "\n" << Cp;
+  W << "end\n";
+  return W.take();
 }
-
-/// Cursor over the raw file contents; every reader consumes exactly the
-/// bytes of well-formed input so At marks the end of the last good record.
-struct StoreCursor {
-  const std::string &Text;
-  size_t At = 0;
-
-  explicit StoreCursor(const std::string &T) : Text(T) {}
-
-  bool atEnd() const { return At >= Text.size(); }
-
-  /// Reads one whitespace-separated token on the current line.
-  bool token(std::string &Out) {
-    while (At < Text.size() && (Text[At] == ' ' || Text[At] == '\t'))
-      ++At;
-    size_t Start = At;
-    while (At < Text.size() && Text[At] != ' ' && Text[At] != '\t' &&
-           Text[At] != '\n')
-      ++At;
-    if (At == Start)
-      return false;
-    Out.assign(Text, Start, At - Start);
-    return true;
-  }
-
-  bool expect(const char *Keyword) {
-    std::string T;
-    return token(T) && T == Keyword;
-  }
-
-  bool number(double &Out) {
-    std::string T;
-    if (!token(T))
-      return false;
-    char *End = nullptr;
-    Out = std::strtod(T.c_str(), &End);
-    return End == T.c_str() + T.size();
-  }
-
-  bool u64(uint64_t &Out) {
-    std::string T;
-    if (!token(T))
-      return false;
-    char *End = nullptr;
-    unsigned long long V = std::strtoull(T.c_str(), &End, 10);
-    if (End != T.c_str() + T.size() || T.empty() || T[0] == '-')
-      return false;
-    Out = static_cast<uint64_t>(V);
-    return true;
-  }
-
-  bool integer(long &Out) {
-    std::string T;
-    if (!token(T))
-      return false;
-    char *End = nullptr;
-    Out = std::strtol(T.c_str(), &End, 10);
-    return End == T.c_str() + T.size();
-  }
-
-  bool newline() {
-    if (At < Text.size() && Text[At] == '\n') {
-      ++At;
-      return true;
-    }
-    return false;
-  }
-
-  /// Consumes a byte-counted block followed by its terminating newline.
-  bool block(size_t Bytes, std::string &Out) {
-    if (At + Bytes > Text.size())
-      return false;
-    Out.assign(Text, At, Bytes);
-    At += Bytes;
-    return true;
-  }
-};
 
 struct StoreRecord {
   CacheKey Key;
@@ -288,100 +202,63 @@ struct StoreRecord {
   VerifyResult Result;
 };
 
-/// Parses one record at the cursor; false leaves the cursor past an
-/// unusable tail (caller truncates to the last good offset).
-bool parseRecord(StoreCursor &C, StoreRecord &Rec) {
-  if (!C.expect("entry") || !C.u64(Rec.Key.NetworkFingerprint) ||
-      !C.u64(Rec.Key.PropertyDigest) || !C.u64(Rec.Key.ConfigDigest))
+/// Reads "<keyword> <bytes>\n<block>" and parses a non-empty block with
+/// \p Parse into \p Out; an empty block leaves \p Out null.
+template <class T, class ParseFn>
+bool readEmbedded(TextReader &R, const char *Keyword, ParseFn Parse,
+                  std::shared_ptr<const T> &Out) {
+  size_t Bytes = 0;
+  std::string_view Block;
+  if (!R.keyword(Keyword) || !R.integer(Bytes) || !R.newline() ||
+      !R.block(Bytes, Block))
     return false;
-  uint64_t Class = 0;
-  if (!C.u64(Class) || !C.newline())
+  if (Block.empty())
+    return true;
+  std::optional<T> Parsed = Parse(Block);
+  if (!Parsed)
     return false;
-  Rec.TargetClass = static_cast<size_t>(Class);
+  Out = std::make_shared<const T>(std::move(*Parsed));
+  return true;
+}
 
-  uint64_t Dim = 0;
-  if (!C.expect("region") || !C.u64(Dim) || !C.newline())
+/// Parses one record at the reader (in line mode); false leaves the reader
+/// inside an unusable tail (the caller truncates to the last good offset).
+bool parseRecord(TextReader &R, StoreRecord &Rec) {
+  size_t Dim = 0, CexSize = 0;
+  std::vector<double> Lo, Hi, Cex;
+  std::string_view OutcomeName;
+  VerifyResult &Res = Rec.Result;
+  if (!R.keyword("entry") || !R.integer(Rec.Key.NetworkFingerprint) ||
+      !R.integer(Rec.Key.PropertyDigest) || !R.integer(Rec.Key.ConfigDigest) ||
+      !R.integer(Rec.TargetClass) || !R.newline() || !R.keyword("region") ||
+      !R.count(Dim) || !R.newline() || !R.box(Dim, Lo, Hi) ||
+      !R.keyword("result") || !R.token(OutcomeName))
     return false;
-  Vector Lo(Dim), Hi(Dim);
-  if (!C.expect("lower"))
-    return false;
-  for (size_t I = 0; I < Dim; ++I)
-    if (!C.number(Lo[I]))
-      return false;
-  if (!C.newline() || !C.expect("upper"))
-    return false;
-  for (size_t I = 0; I < Dim; ++I)
-    if (!C.number(Hi[I]))
-      return false;
-  if (!C.newline())
-    return false;
-  for (size_t I = 0; I < Dim; ++I)
-    if (Lo[I] > Hi[I])
-      return false;
-  Rec.Region = Box(std::move(Lo), std::move(Hi));
-
-  std::string OutcomeName;
-  if (!C.expect("result") || !C.token(OutcomeName))
-    return false;
+  Rec.Region = Box(Vector(std::move(Lo)), Vector(std::move(Hi)));
   if (OutcomeName == "verified")
-    Rec.Result.Result = Outcome::Verified;
+    Res.Result = Outcome::Verified;
   else if (OutcomeName == "falsified")
-    Rec.Result.Result = Outcome::Falsified;
+    Res.Result = Outcome::Falsified;
   else if (OutcomeName == "timeout")
-    Rec.Result.Result = Outcome::Timeout;
+    Res.Result = Outcome::Timeout;
   else
     return false;
-  if (!C.number(Rec.Result.ObjectiveAtCex) || !C.newline())
-    return false;
 
-  uint64_t CexSize = 0;
-  if (!C.expect("cex") || !C.u64(CexSize))
+  if (!R.f64(Res.ObjectiveAtCex) || !R.newline() || !R.keyword("cex") ||
+      !R.integer(CexSize) || !R.values(CexSize, Cex) || !R.newline() ||
+      !R.keyword("stats"))
     return false;
-  Rec.Result.Counterexample = Vector(CexSize);
-  for (size_t I = 0; I < CexSize; ++I)
-    if (!C.number(Rec.Result.Counterexample[I]))
+  Res.Counterexample = Vector(std::move(Cex));
+  for (long VerifyStats::*Counter : StatsCounters)
+    if (!R.integer(Res.Stats.*Counter))
       return false;
-  if (!C.newline())
+  if (!R.f64(Res.Stats.Seconds) || !R.newline())
     return false;
 
-  VerifyStats &S = Rec.Result.Stats;
-  if (!C.expect("stats") || !C.integer(S.PgdCalls) ||
-      !C.integer(S.AnalyzeCalls) || !C.integer(S.Splits) ||
-      !C.integer(S.MaxDepth) || !C.integer(S.IntervalChoices) ||
-      !C.integer(S.ZonotopeChoices) || !C.integer(S.DisjunctSum) ||
-      !C.integer(S.NodesExpanded) || !C.integer(S.CegarRounds) ||
-      !C.integer(S.CegarSpuriousCexes) || !C.integer(S.CegarFallbacks) ||
-      !C.integer(S.CegarAbstractNeurons) || !C.number(S.Seconds) ||
-      !C.newline())
-    return false;
-
-  uint64_t CertBytes = 0;
-  std::string CertText;
-  if (!C.expect("cert") || !C.u64(CertBytes) || !C.newline() ||
-      !C.block(CertBytes, CertText))
-    return false;
-  if (!CertText.empty()) {
-    auto Cert = deserializeCertificate(CertText);
-    if (!Cert)
-      return false;
-    Rec.Result.Certificate =
-        std::make_shared<const ProofCertificate>(std::move(*Cert));
-  }
-
-  uint64_t CpBytes = 0;
-  std::string CpText;
-  if (!C.expect("checkpoint") || !C.u64(CpBytes) || !C.newline() ||
-      !C.block(CpBytes, CpText))
-    return false;
-  if (!CpText.empty()) {
-    auto Cp = deserializeCheckpoint(CpText);
-    if (!Cp)
-      return false;
-    Rec.Result.Checkpoint =
-        std::make_shared<const SearchCheckpoint>(std::move(*Cp));
-  }
-
-  return C.expect("end") && C.newline();
+  return readEmbedded(R, "cert", deserializeCertificate, Res.Certificate) &&
+         readEmbedded(R, "checkpoint", deserializeCheckpoint,
+                      Res.Checkpoint) &&
+         R.keyword("end") && R.newline();
 }
 
 bool writeAll(int Fd, const std::string &Data) {
@@ -408,56 +285,38 @@ bool ResultCache::attachFile(const std::string &Path) {
   int Fd = ::open(Path.c_str(), O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
   if (Fd < 0)
     return false;
-  if (::flock(Fd, LOCK_EX | LOCK_NB) != 0) {
-    ::close(Fd);
+  auto Refuse = [Fd] {
+    ::close(Fd); // releases the flock
     return false;
-  }
+  };
+  if (::flock(Fd, LOCK_EX | LOCK_NB) != 0)
+    return Refuse();
 
-  // Slurp the existing contents (the lock is held, nobody else writes).
-  std::string Text;
-  char Buf[1 << 16];
-  ::lseek(Fd, 0, SEEK_SET);
-  for (;;) {
-    ssize_t N = ::read(Fd, Buf, sizeof(Buf));
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      ::close(Fd);
-      return false;
-    }
-    if (N == 0)
-      break;
-    Text.append(Buf, static_cast<size_t>(N));
-  }
-
+  // Read the existing contents (the lock is held, nobody else writes).
+  std::optional<std::string> Existing = readFile(Path);
+  if (!Existing)
+    return Refuse();
+  std::string_view Text = *Existing;
   size_t MagicLen = std::strlen(CacheMagic);
   if (Text.empty()) {
-    if (!writeAll(Fd, CacheMagic)) {
-      ::close(Fd);
-      return false;
-    }
-  } else if (Text.compare(0, MagicLen, CacheMagic) != 0) {
-    // Not our file: refuse rather than clobber it.
-    ::close(Fd);
-    return false;
+    if (!writeAll(Fd, CacheMagic))
+      return Refuse();
+  } else if (Text.substr(0, MagicLen) != CacheMagic) {
+    return Refuse(); // Not our file: refuse rather than clobber it.
   } else {
-    StoreCursor C(Text);
-    C.At = MagicLen;
-    size_t GoodEnd = C.At;
+    TextReader R(Text.substr(MagicLen), /*LineMode=*/true);
+    size_t GoodEnd = MagicLen;
     StoreRecord Rec;
-    while (!C.atEnd() && parseRecord(C, Rec)) {
+    while (MagicLen + R.offset() < Text.size() && parseRecord(R, Rec)) {
       insertLocked(Rec.Key, Rec.Region, Rec.TargetClass, Rec.Result,
                    /*FromDisk=*/true);
-      GoodEnd = C.At;
+      GoodEnd = MagicLen + R.offset();
       Rec = StoreRecord();
     }
-    if (GoodEnd < Text.size()) {
-      // Torn or foreign tail — drop it so future appends start clean.
-      if (::ftruncate(Fd, static_cast<off_t>(GoodEnd)) != 0) {
-        ::close(Fd);
-        return false;
-      }
-    }
+    // Drop a torn or foreign tail so future appends start clean.
+    if (GoodEnd < Text.size() &&
+        ::ftruncate(Fd, static_cast<off_t>(GoodEnd)) != 0)
+      return Refuse();
   }
 
   StoreFd = Fd;
@@ -470,8 +329,14 @@ bool ResultCache::persistent() const {
 }
 
 void ResultCache::persistLocked(const Entry &E) {
-  std::string Rec;
-  appendRecord(Rec, E.Key, E.Region, E.TargetClass, E.Result);
+  std::string Rec = recordText(E.Key, E.Region, E.TargetClass, E.Result);
+  // A record the reader would reject (a non-finite objective or margin
+  // from a network whose arithmetic overflows) stays memory-only: on the
+  // next attach it would truncate every record after it.
+  TextReader Check(Rec, /*LineMode=*/true);
+  StoreRecord Parsed;
+  if (!parseRecord(Check, Parsed))
+    return;
   // Best-effort: a full disk degrades to a memory-only cache for this
   // record; soundness never depends on the store being complete.
   writeAll(StoreFd, Rec);

@@ -2,16 +2,20 @@
 
 #include "support/JsonLine.h"
 
+#include "support/TextCodec.h"
+
 #include <cctype>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <string_view>
 
 using namespace charon;
 using namespace charon::json;
 
 namespace {
+
+/// The escapes of the dialect: each character of EscapedChars is written
+/// as a backslash plus the letter at the same index ("\/" also reads).
+constexpr std::string_view EscapedChars = "\"\\\n\t\r";
+constexpr std::string_view EscapeLetters = "\"\\ntr";
 
 class LineParser {
 public:
@@ -89,28 +93,11 @@ private:
       }
       if (P == End)
         return fail("truncated escape");
-      switch (*P++) {
-      case '"':
-        Out.push_back('"');
-        break;
-      case '\\':
-        Out.push_back('\\');
-        break;
-      case '/':
-        Out.push_back('/');
-        break;
-      case 'n':
-        Out.push_back('\n');
-        break;
-      case 't':
-        Out.push_back('\t');
-        break;
-      case 'r':
-        Out.push_back('\r');
-        break;
-      default:
+      char Letter = *P++;
+      size_t I = EscapeLetters.find(Letter);
+      if (Letter != '/' && I == std::string_view::npos)
         return fail("unsupported escape");
-      }
+      Out.push_back(Letter == '/' ? '/' : EscapedChars[I]);
     }
     if (!consume('"'))
       return fail("unterminated string");
@@ -118,10 +105,9 @@ private:
   }
 
   bool parseNumber(double &Out) {
-    char *NumEnd = nullptr;
-    Out = std::strtod(P, &NumEnd);
-    if (NumEnd == P)
-      return fail("expected number");
+    const char *NumEnd = parseFiniteDouble(P, End, Out);
+    if (!NumEnd)
+      return fail("expected finite number");
     P = NumEnd;
     return true;
   }
@@ -155,17 +141,14 @@ private:
         return fail("expected ',' or ']'");
       }
     }
-    if (!std::strncmp(P, "true", 4)) {
-      P += 4;
-      V.K = Value::Bool;
-      V.B = true;
-      return true;
-    }
-    if (!std::strncmp(P, "false", 5)) {
-      P += 5;
-      V.K = Value::Bool;
-      V.B = false;
-      return true;
+    for (bool B : {true, false}) {
+      std::string_view Word = B ? "true" : "false";
+      if (std::string_view(P, End - P).substr(0, Word.size()) == Word) {
+        P += Word.size();
+        V.K = Value::Bool;
+        V.B = B;
+        return true;
+      }
     }
     V.K = Value::Num;
     return parseNumber(V.N);
@@ -188,64 +171,60 @@ bool charon::json::parseObjectLine(const std::string &Line, Object &Out,
   return false;
 }
 
-void charon::json::appendEscaped(std::string &Out, const std::string &S) {
+void ObjectWriter::key(const char *Key) {
+  Out += Out.empty() ? "{\"" : ",\"";
+  Out += Key;
+  Out += "\":";
+}
+
+ObjectWriter &ObjectWriter::str(const char *Key, const std::string &S) {
+  key(Key);
   Out.push_back('"');
   for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      Out.push_back(C);
-    }
+    size_t I = EscapedChars.find(C);
+    if (I != std::string_view::npos)
+      Out.push_back('\\');
+    Out.push_back(I == std::string_view::npos ? C : EscapeLetters[I]);
   }
   Out.push_back('"');
+  return *this;
 }
 
-void charon::json::appendNumber(std::string &Out, double X) {
-  char Buf[40];
-  // %.17g round-trips every finite double exactly.
-  std::snprintf(Buf, sizeof(Buf), "%.17g", X);
-  Out += Buf;
+ObjectWriter &ObjectWriter::num(const char *Key, double X) {
+  key(Key);
+  appendDouble(Out, X);
+  return *this;
 }
 
-void charon::json::appendNumberArray(std::string &Out,
-                                     const std::vector<double> &A) {
+ObjectWriter &ObjectWriter::nums(const char *Key, const double *A, size_t N) {
+  key(Key);
   Out.push_back('[');
-  for (size_t I = 0; I < A.size(); ++I) {
+  for (size_t I = 0; I < N; ++I) {
     if (I)
       Out.push_back(',');
-    appendNumber(Out, A[I]);
+    appendDouble(Out, A[I]);
   }
   Out.push_back(']');
+  return *this;
+}
+
+ObjectWriter &ObjectWriter::flag(const char *Key, bool B) {
+  key(Key);
+  Out += B ? "true" : "false";
+  return *this;
+}
+
+std::string ObjectWriter::done() {
+  Out += Out.empty() ? "{}" : "}";
+  return std::move(Out);
 }
 
 std::string charon::json::formatU64(uint64_t V) {
-  char Buf[24];
-  std::snprintf(Buf, sizeof(Buf), "%llu", static_cast<unsigned long long>(V));
-  return Buf;
+  std::string Out;
+  appendInteger(Out, V);
+  return Out;
 }
 
 bool charon::json::parseU64(const std::string &S, uint64_t &Out) {
-  if (S.empty())
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(S.c_str(), &End, 10);
-  if (errno != 0 || End != S.c_str() + S.size() || S[0] == '-')
-    return false;
-  Out = static_cast<uint64_t>(V);
-  return true;
+  return parseInteger(S, Out);
 }

@@ -13,18 +13,24 @@
 /// (fleet/FleetProtocol.h) so both sides agree on escaping and number
 /// round-tripping.
 ///
-/// Numbers print with %.17g, which round-trips every finite double
-/// exactly. 64-bit digests do NOT fit in a double, so protocols carry them
-/// as decimal strings (formatU64/parseU64).
+/// Numbers follow the number policy of support/TextCodec.h: they print
+/// with %.17g, which round-trips every finite double exactly, and parse
+/// only as finite doubles ("nan", "inf" and overflowing literals are syntax
+/// errors). 64-bit digests do NOT fit in a double, so protocols carry them
+/// as decimal strings (formatU64/parseU64), and integer fields go through
+/// toInteger so an out-of-range value is rejected rather than cast.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CHARON_SUPPORT_JSONLINE_H
 #define CHARON_SUPPORT_JSONLINE_H
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace charon {
@@ -49,14 +55,25 @@ using Object = std::map<std::string, Value>;
 bool parseObjectLine(const std::string &Line, Object &Out,
                      std::string *Error = nullptr);
 
-/// Appends \p S as a quoted, escaped JSON string.
-void appendEscaped(std::string &Out, const std::string &S);
+/// Builds one flat object key by key, escaping strings and printing
+/// numbers as %.17g: `ObjectWriter().str("cmd", "run").num("shard", 3)
+/// .done()` renders `{"cmd":"run","shard":3}`.
+class ObjectWriter {
+public:
+  ObjectWriter &str(const char *Key, const std::string &S);
+  ObjectWriter &num(const char *Key, double X);
+  ObjectWriter &nums(const char *Key, const double *A, size_t N);
+  ObjectWriter &nums(const char *Key, const std::vector<double> &A) {
+    return nums(Key, A.data(), A.size());
+  }
+  ObjectWriter &flag(const char *Key, bool B);
+  /// Closes the object and returns it.
+  std::string done();
 
-/// Appends \p X with round-trip (%.17g) precision.
-void appendNumber(std::string &Out, double X);
-
-/// Appends \p A as a JSON array of round-trip numbers.
-void appendNumberArray(std::string &Out, const std::vector<double> &A);
+private:
+  void key(const char *Key);
+  std::string Out;
+};
 
 /// Decimal rendering of a 64-bit value (digests don't fit in a double, so
 /// the protocols quote them as strings).
@@ -65,6 +82,19 @@ std::string formatU64(uint64_t V);
 /// Parses the decimal rendering back; false on non-numeric or overflowing
 /// input.
 bool parseU64(const std::string &S, uint64_t &Out);
+
+/// Converts a parsed number to \p IntT when it is integral and \p IntT
+/// holds it; false otherwise (a plain cast would be undefined behavior).
+template <class IntT> bool toInteger(double X, IntT &Out) {
+  static_assert(std::is_integral_v<IntT>);
+  // 2^digits is exact in a double and one past IntT's maximum.
+  double Limit = std::ldexp(1.0, std::numeric_limits<IntT>::digits);
+  double Min = std::is_signed_v<IntT> ? -Limit : 0.0;
+  if (!(X >= Min && X < Limit) || std::trunc(X) != X)
+    return false;
+  Out = static_cast<IntT>(X);
+  return true;
+}
 
 } // namespace json
 } // namespace charon

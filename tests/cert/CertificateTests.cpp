@@ -307,6 +307,15 @@ TEST(CertificateParserTest, RejectsMalformedInput) {
   Bad.replace(DeltaPos, 6, "delta x");
   EXPECT_FALSE(deserializeCertificate(Bad).has_value());
 
+  // A node count the rest of the file could never hold is rejected before
+  // anything is allocated.
+  Bad = Text;
+  size_t NodesPos = Bad.find("nodes ");
+  ASSERT_NE(NodesPos, std::string::npos);
+  Bad.replace(NodesPos, Bad.find('\n', NodesPos) - NodesPos,
+              "nodes 99999999999999999");
+  EXPECT_FALSE(deserializeCertificate(Bad).has_value());
+
   // Duplicate node paths: repeat the first node block verbatim and bump
   // the count so the stream stays well-formed otherwise.
   size_t NodePos = Text.find("node ");

@@ -177,6 +177,11 @@ TEST(PropertyIoTest, RejectsZeroDim) {
   std::stringstream Ss(
       "charon-property 1\nname x\ntarget 0\ndim 0\nlower\nupper\n");
   EXPECT_FALSE(loadProperty(Ss).has_value());
+  // A dim the rest of the file cannot hold fails the same way, before the
+  // bounds are allocated.
+  std::stringstream Huge("charon-property 1\nname x\ntarget 0\n"
+                         "dim 100000000000\nlower 0\nupper 1\n");
+  EXPECT_FALSE(loadProperty(Huge).has_value());
 }
 
 TEST(PropertyIoTest, RejectsGarbage) {

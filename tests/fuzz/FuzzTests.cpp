@@ -277,6 +277,7 @@ TEST(OracleTest, ParseDomainSpec) {
   EXPECT_FALSE(parseDomainSpec("Octagon").has_value());
   EXPECT_FALSE(parseDomainSpec("Zonotope^0").has_value());
   EXPECT_FALSE(parseDomainSpec("Zonotope^x").has_value());
+  EXPECT_FALSE(parseDomainSpec("Zonotope^2x").has_value());
   // Symbolic intervals have no powerset lifting.
   EXPECT_FALSE(parseDomainSpec("SymbolicInterval^2").has_value());
 }

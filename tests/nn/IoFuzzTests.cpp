@@ -77,6 +77,15 @@ TEST(IoFuzzTest, LayerCountMismatchRejected) {
   Text.replace(Pos, 3, " 9\n");
   std::stringstream Ss(Text);
   EXPECT_FALSE(loadNetwork(Ss).has_value());
+
+  // Likewise a layer declaring more weights than the file holds: rejected
+  // before anything is allocated, not an abort in the allocator.
+  for (const char *Oversized :
+       {"charon-network 1 1\ndense 200000 200000\n0 0\n",
+        "charon-network 1 1\nconv 1 8 8 4096 1024 1024 1 512\n0 0\n"}) {
+    std::stringstream Os(Oversized);
+    EXPECT_FALSE(loadNetwork(Os).has_value()) << Oversized;
+  }
 }
 
 TEST(IoFuzzTest, RandomGarbageRejected) {

@@ -207,6 +207,21 @@ TEST(OnnxNegativeTest, ShapeMismatchesAreRejected) {
   expectDiagnostic(importBytes(C.finish()), "", "initializer count mismatch");
 }
 
+TEST(OnnxNegativeTest, NonFiniteInitializersNameTheTensor) {
+  // One NaN weight would otherwise import cleanly and poison every
+  // analysis downstream.
+  std::vector<double> Weights(6, 0.25);
+  Weights[3] = std::nan("");
+  ModelBuilder B;
+  B.setInput("x", {1, 2});
+  B.addInitializer("w_nan", {3, 2}, Weights);
+  B.addInitializer("b", {3}, std::vector<double>(3, 0.0));
+  B.addNode("Gemm", {"x", "w_nan", "b"}, {"y"},
+            {ModelBuilder::Attr::ofInt("transB", 1)});
+  B.setOutput("y", {1, 3});
+  expectDiagnostic(importBytes(B.finish()), "w_nan", "NaN gemm weight");
+}
+
 TEST(OnnxNegativeTest, OutOfSubsetAttributesAreRejected) {
   // Gemm with alpha != 1 is outside the supported subset.
   ModelBuilder B;

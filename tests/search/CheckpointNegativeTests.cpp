@@ -148,6 +148,14 @@ TEST(CheckpointNegativeTest, RejectsStructuralDamage) {
   EXPECT_FALSE(
       deserializeCheckpoint(replaced(sampleText(), "open 2", "open 3"))
           .has_value());
+  // Dim or open counts the rest of the file could never hold are rejected
+  // before anything is allocated.
+  EXPECT_FALSE(deserializeCheckpoint(
+                   replaced(sampleText(), "dim 2", "dim 99999999999999"))
+                   .has_value());
+  EXPECT_FALSE(deserializeCheckpoint(
+                   replaced(sampleText(), "open 2", "open 99999999999999"))
+                   .has_value());
 }
 
 TEST(CheckpointNegativeTest, RejectsDuplicateNodePaths) {

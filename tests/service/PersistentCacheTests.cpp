@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -244,13 +245,42 @@ TEST_F(PersistentCacheTest, TornTailIsTruncatedAndAppendsContinue) {
     EXPECT_EQ(fileSize(Path), GoodSize) << "the torn tail is truncated away";
     Fresh.insert(key(1, 5, 3), box(0, 1), 0, falsified());
   }
+  size_t CleanSize = fileSize(Path);
+  {
+    // A record declaring more region dimensions than the file holds is
+    // dropped like a torn tail, before anything is allocated.
+    std::ofstream Os(Path, std::ios::app);
+    Os << "entry 9 9 9 0\nregion 99999999999999\nlower 0\n";
+  }
 
   // The post-truncation append produced a clean file holding both records.
   ResultCache Again(64);
   ASSERT_TRUE(Again.attachFile(Path));
+  EXPECT_EQ(fileSize(Path), CleanSize) << "the oversized record is dropped";
   EXPECT_EQ(Again.size(), 2u);
   EXPECT_TRUE(Again.lookup(key(1, 2, 3), box(0, 1), 0).has_value());
   EXPECT_TRUE(Again.lookup(key(1, 5, 3), box(0, 1), 0).has_value());
+}
+
+TEST_F(PersistentCacheTest, UnreadableRecordsStayMemoryOnly) {
+  // An overflowing network can refute with F(x) = -inf. The log's reader
+  // takes finite numbers only, so that record is not persisted; the records
+  // after it still are, and none of them is truncated away on re-attach.
+  {
+    ResultCache Cache(64);
+    ASSERT_TRUE(Cache.attachFile(Path));
+    VerifyResult Overflow = falsified();
+    Overflow.ObjectiveAtCex = -std::numeric_limits<double>::infinity();
+    Cache.insert(key(1, 2, 3), box(0, 1), 0, Overflow);
+    EXPECT_TRUE(Cache.lookup(key(1, 2, 3), box(0, 1), 0).has_value());
+    Cache.insert(key(1, 5, 3), box(0, 1), 0, verified());
+  }
+  size_t Size = fileSize(Path);
+  ResultCache Fresh(64);
+  ASSERT_TRUE(Fresh.attachFile(Path));
+  EXPECT_EQ(Fresh.stats().Loaded, 1);
+  EXPECT_TRUE(Fresh.lookup(key(1, 5, 3), box(0, 1), 0).has_value());
+  EXPECT_EQ(fileSize(Path), Size);
 }
 
 TEST_F(PersistentCacheTest, RefusesForeignFile) {

@@ -128,6 +128,26 @@ TEST(RequestIoTest, RejectsMalformedLines) {
       parseRequestLine(
           R"({"network":"n","network":"m","lower":[0],"upper":[1]})")
           .has_value());
+  // Non-finite numbers are malformed input, not values: a NaN bound would
+  // poison the policy's features, and a NaN delta would silently disable
+  // Eq. 4 refutation.
+  for (const char *NonFinite :
+       {R"({"network":"n","lower":[nan,0],"upper":[nan,1]})",
+        R"({"network":"n","lower":[-inf,0],"upper":[0,1]})",
+        R"({"network":"n","epsilon":nan,"lower":[0],"upper":[1]})",
+        R"({"network":"n","epsilon":inf,"center":[0.5]})",
+        R"({"network":"n","lower":[0],"upper":[1],"delta":nan})",
+        R"({"network":"n","lower":[0],"upper":[1],"delta":1e999})"})
+    EXPECT_FALSE(parseRequestLine(NonFinite).has_value()) << NonFinite;
+  // Integer fields must be integral and fit their type; a plain cast of
+  // 1e30 to size_t or int is undefined behavior.
+  for (const char *OutOfRange :
+       {R"({"network":"n","label":1e30,"lower":[0],"upper":[1]})",
+        R"({"network":"n","label":1.5,"lower":[0],"upper":[1]})",
+        R"({"network":"n","priority":1e30,"lower":[0],"upper":[1]})",
+        R"({"network":"n","priority":-3e9,"lower":[0],"upper":[1]})",
+        R"({"network":"n","priority":0.5,"lower":[0],"upper":[1]})"})
+    EXPECT_FALSE(parseRequestLine(OutOfRange).has_value()) << OutOfRange;
 }
 
 TEST(RequestIoTest, ResponseRoundTripsBitExactly) {

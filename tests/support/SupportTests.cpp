@@ -3,6 +3,7 @@
 #include "support/Check.h"
 #include "support/Random.h"
 #include "support/Stats.h"
+#include "support/TextCodec.h"
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
 
@@ -10,6 +11,9 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <set>
 
 using namespace charon;
@@ -221,4 +225,105 @@ TEST(ThreadPoolTest, WaitIsReusable) {
 TEST(ThreadPoolTest, DefaultSizeIsPositive) {
   ThreadPool Pool;
   EXPECT_GE(Pool.size(), 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// TextCodec
+//===----------------------------------------------------------------------===//
+
+TEST(TextCodecTest, DoublesPrintAsPercent17gAndRoundTrip) {
+  const double Xs[] = {0.1,     -0.0,   1e-320, 5e-324, 1.2345678901234567e17,
+                       1e300,   -2.5,   3.0,    1.0 / 3.0,
+                       std::numeric_limits<double>::max()};
+  for (double X : Xs) {
+    char Expect[40];
+    std::snprintf(Expect, sizeof(Expect), "%.17g", X);
+    std::string Got;
+    appendDouble(Got, X);
+    EXPECT_EQ(Got, Expect);
+    double Back = 0.0;
+    ASSERT_TRUE(parseFiniteDouble(Got, Back)) << Got;
+    EXPECT_EQ(std::memcmp(&Back, &X, sizeof(X)), 0) << Got;
+  }
+}
+
+TEST(TextCodecTest, NumberPolicyRejectsNonFiniteAndPartialTokens) {
+  double D = 0.0;
+  for (const char *Bad : {"nan", "-nan", "inf", "-inf", "1e999", "", "1.5x",
+                          "0x10", "+1", "--1", "1 2"})
+    EXPECT_FALSE(parseFiniteDouble(Bad, D)) << Bad;
+  EXPECT_TRUE(parseFiniteDouble("-1.5e-3", D));
+  EXPECT_EQ(D, -1.5e-3);
+
+  uint64_t U = 0;
+  int I = 0;
+  EXPECT_TRUE(parseInteger("18446744073709551615", U));
+  EXPECT_FALSE(parseInteger("18446744073709551616", U)); // overflow
+  EXPECT_FALSE(parseInteger("-1", U));                   // no wrap-around
+  EXPECT_FALSE(parseInteger("2x", I));
+  EXPECT_FALSE(parseInteger("3000000000", I));
+  EXPECT_TRUE(parseInteger("-7", I));
+  EXPECT_EQ(I, -7);
+}
+
+TEST(TextCodecTest, DeclaredSizesMustFitTheRemainingBytes) {
+  // "n v v v": three values need at least six more bytes.
+  TextReader R("3 1 2 3");
+  size_t N = 0;
+  ASSERT_TRUE(R.count(N));
+  EXPECT_TRUE(R.fits({3}));
+  EXPECT_FALSE(R.fits({4}));
+  EXPECT_FALSE(R.fits({1ull << 32, 1ull << 32, 1ull << 32})); // no overflow
+  EXPECT_TRUE(R.fits({0, 1ull << 63}));
+  std::vector<double> V;
+  ASSERT_TRUE(R.values(N, V));
+  EXPECT_EQ(V, (std::vector<double>{1, 2, 3}));
+  std::string_view Rest;
+  EXPECT_FALSE(R.token(Rest));
+
+  TextReader Huge("99999999999999 1");
+  EXPECT_FALSE(Huge.count(N));
+}
+
+TEST(TextCodecTest, BoxesPathsAndLines) {
+  std::vector<double> Lo, Hi;
+  TextReader Good("lower 0 -1\nupper 1 -1\n");
+  EXPECT_TRUE(Good.box(2, Lo, Hi));
+  TextReader Inverted("lower 0 1\nupper 1 0\n");
+  EXPECT_FALSE(Inverted.box(2, Lo, Hi));
+
+  std::vector<uint8_t> Bits;
+  TextReader Paths("- 0110 012");
+  ASSERT_TRUE(Paths.path(Bits));
+  EXPECT_TRUE(Bits.empty());
+  ASSERT_TRUE(Paths.path(Bits));
+  EXPECT_EQ(Bits, (std::vector<uint8_t>{0, 1, 1, 0}));
+  EXPECT_FALSE(Paths.path(Bits));
+
+  // Line mode: newlines are structure, and blocks are byte-counted.
+  TextReader Lines("a 1\nb 5\nhello\n", /*LineMode=*/true);
+  int X = 0;
+  std::string_view Block;
+  EXPECT_TRUE(Lines.keyword("a"));
+  EXPECT_TRUE(Lines.integer(X));
+  EXPECT_FALSE(Lines.keyword("b")); // still on the first line
+  EXPECT_TRUE(Lines.newline());
+  EXPECT_TRUE(Lines.keyword("b"));
+  ASSERT_TRUE(Lines.integer(X));
+  EXPECT_TRUE(Lines.newline());
+  ASSERT_TRUE(Lines.block(static_cast<size_t>(X), Block));
+  EXPECT_EQ(Block, "hello");
+  EXPECT_FALSE(Lines.block(2, Block)); // one byte left
+}
+
+TEST(TextCodecTest, WriterMatchesStreamFormatting) {
+  TextWriter W;
+  W << "x " << 42 << " " << uint64_t(18446744073709551615ull) << " " << -7L
+    << " " << 0.1 << ' ';
+  W.values(std::vector<double>{1.5, 2.0}.data(), 2);
+  W << " ";
+  W.path({}) << " ";
+  W.path({1, 0});
+  EXPECT_EQ(W.take(),
+            "x 42 18446744073709551615 -7 0.10000000000000001  1.5 2 - 10");
 }
