@@ -311,7 +311,8 @@ struct ScalingPoint {
   double WallSeconds = 0.0;
   double Speedup = 1.0;    ///< serial-baseline seconds / WallSeconds
   long NodesExpanded = 0;  ///< committed expansions, summed over instances
-  long Steals = 0;         ///< shards migrated (process mode; 0 in threads)
+  long Steals = 0;         ///< work migrated between workers (always 0 now:
+                           ///< one scheduler owns the frontier)
   long WorkerRestarts = 0; ///< dead workers replaced (process mode only)
   /// Committed expansions by worker slot (process mode) or thread (thread
   /// mode) — the work-distribution picture behind the wall-clock number.

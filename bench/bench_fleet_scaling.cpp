@@ -3,8 +3,8 @@
 // Part of the Charon reproduction of "Optimization and Abstraction" (PLDI'19).
 //
 // Measures the process-mode counterpart of bench_parallel_scaling: the
-// FleetCoordinator sharding hard ACAS proof searches across 1/2/4
-// charon_worker child processes. Every fleet run is checked bit-for-bit
+// FleetCoordinator expanding the nodes of hard ACAS proof searches on
+// 1/2/4 charon_worker child processes. Every fleet run is checked bit-for-bit
 // against its serial Verifier::verify baseline (verdict, counterexample,
 // objective) — the runner aborts on any contradiction, so the JSON is
 // only ever produced by runs whose fleet verdicts were identical.
@@ -13,8 +13,9 @@
 // "processes") — the same schema bench_parallel_scaling writes in thread
 // mode, so the two series plot on one chart. The document records the
 // host core count: on a single-core host the interesting columns are the
-// steal/restart counters and the per-worker work distribution, not wall
-// speedup.
+// restart counter and the per-worker work distribution, not wall speedup.
+// The schema's steals column always reads 0 here: one scheduler owns the
+// frontier, so no work is stolen.
 //
 //   --fleet-out=PATH     output JSON path (default BENCH_fleet.json)
 //   --fleet-worker=PATH  charon_worker binary (default: CHARON_WORKER_BIN
@@ -114,12 +115,12 @@ int main(int argc, char **argv) {
   HarnessConfig Config = defaultHarnessConfig();
   VerificationPolicy Policy = loadOrDefaultPolicy(Config);
   // Coordinator and workers must expand nodes under the same policy, or
-  // shard results would diverge from the serial baseline: forward the
+  // node expansions would diverge from the serial baseline: forward the
   // policy file only when the coordinator actually loaded it.
   std::string PolicyPath =
       loadPolicyFile(Config.PolicyPath) ? Config.PolicyPath : std::string();
 
-  std::printf("== Fleet scaling: sharded proof search across processes ==\n");
+  std::printf("== Fleet scaling: node expansions across processes ==\n");
   std::printf("(worker %s, %u hardware cores)\n\n", WorkerBin.c_str(),
               std::thread::hardware_concurrency());
 
@@ -178,10 +179,6 @@ int main(int argc, char **argv) {
     FC.WorkerBinary = WorkerBin;
     FC.Workers = Workers;
     FC.PolicyPath = PolicyPath;
-    // The synthetic ACAS searches decide in tens of milliseconds, well
-    // under the default 50ms steal threshold; lower it so the bench
-    // actually exercises shard migration rather than static sharding.
-    FC.StealAfterSeconds = 0.002;
     FleetCoordinator Fleet(Policy, FC);
 
     ScalingPoint P;

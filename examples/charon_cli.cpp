@@ -31,6 +31,10 @@
 //   --cegar-ratio <r>       initial abstract width / original width (0.25)
 //   --cegar-rounds <n>      abstract rounds before direct fallback (12)
 //
+// Numeric values must be whole finite numbers (no trailing bytes); --delta
+// and --cegar-ratio must be positive and --cegar-rounds a non-negative
+// integer. Anything else is a usage error and exits 2.
+//
 //===----------------------------------------------------------------------===//
 
 #include "baselines/Ai2.h"
@@ -44,6 +48,7 @@
 #include "nn/Io.h"
 #include "onnx/OnnxImport.h"
 #include "search/Checkpoint.h"
+#include "support/TextCodec.h"
 #include "support/ThreadPool.h"
 
 #include <cstdio>
@@ -66,6 +71,22 @@ namespace {
                "       %s --import-onnx <model.onnx> <out.net>\n",
                Argv0, Argv0);
   std::exit(2);
+}
+
+/// The value of a numeric flag: a finite double, positive when \p Positive.
+double numberFlag(const char *Text, bool Positive, const char *Argv0) {
+  double Value;
+  if (!parseFiniteDouble(Text, Value) || (Positive && !(Value > 0.0)))
+    usage(Argv0);
+  return Value;
+}
+
+/// The value of a count flag: a non-negative decimal int.
+int countFlag(const char *Text, const char *Argv0) {
+  int Value;
+  if (!parseInteger(Text, Value) || Value < 0)
+    usage(Argv0);
+  return Value;
 }
 
 /// Loads a network from either the native format or an ONNX model,
@@ -125,9 +146,9 @@ int main(int Argc, char **Argv) {
     if (!std::strcmp(Argv[I], "--tool") && I + 1 < Argc)
       Tool = Argv[++I];
     else if (!std::strcmp(Argv[I], "--budget") && I + 1 < Argc)
-      Budget = std::atof(Argv[++I]);
+      Budget = numberFlag(Argv[++I], false, Argv[0]);
     else if (!std::strcmp(Argv[I], "--delta") && I + 1 < Argc)
-      Delta = std::atof(Argv[++I]);
+      Delta = numberFlag(Argv[++I], true, Argv[0]); // Theorem 5.2: delta > 0
     else if (!std::strcmp(Argv[I], "--policy") && I + 1 < Argc)
       PolicyPath = Argv[++I];
     else if (!std::strcmp(Argv[I], "--fgsm"))
@@ -147,9 +168,9 @@ int main(int Argc, char **Argv) {
     else if (!std::strcmp(Argv[I], "--cegar"))
       Cegar = true;
     else if (!std::strcmp(Argv[I], "--cegar-ratio") && I + 1 < Argc)
-      CegarRatio = std::atof(Argv[++I]);
+      CegarRatio = numberFlag(Argv[++I], true, Argv[0]);
     else if (!std::strcmp(Argv[I], "--cegar-rounds") && I + 1 < Argc)
-      CegarRounds = std::atoi(Argv[++I]);
+      CegarRounds = countFlag(Argv[++I], Argv[0]);
     else
       usage(Argv[0]);
   }

@@ -13,7 +13,8 @@
 //   charon_serve [requests.jsonl] [options]
 //
 // Options:
-//   --workers <n>        worker threads (default: hardware concurrency)
+//   --workers <n>        worker threads (default: hardware concurrency;
+//                        at most 1024)
 //   --cache <n>          result-cache capacity in entries (default 4096)
 //   --no-cache           disable the result cache
 //   --cache-file <f>     persist the result cache to <f>: entries (verdicts,
@@ -23,14 +24,18 @@
 //   --certify            emit proof certificates with decided verdicts (what
 //                        makes cross-config CertifiedHits possible)
 //   --policy <file>      learned policy (default: built-in policy)
-//   --fleet-workers <n>  dispatch jobs to <n> charon_worker *processes* via
-//                        the fleet coordinator (sharded proof search with
-//                        work stealing); 0 = in-process verifier (default)
+//   --fleet-workers <n>  expand each job's proof-tree nodes on <n>
+//                        charon_worker *processes* via the fleet
+//                        coordinator; 0 = in-process verifier (default;
+//                        at most 1024)
 //   --worker-bin <path>  fleet worker binary (default: charon_worker next to
 //                        this executable)
 //   --fleet-chaos-kill <n>  test hook: kill a worker after <n> dispatches
-//                        (also via env CHARON_FLEET_CHAOS_KILL)
 //   --quiet              suppress the stderr summary
+//
+// Counts must be plain non-negative decimal integers; anything else (signs,
+// trailing bytes, overflow, a count above its bound) is a usage error and
+// exits 2.
 //
 //===----------------------------------------------------------------------===//
 
@@ -38,7 +43,9 @@
 #include "fleet/FleetCoordinator.h"
 #include "service/RequestIo.h"
 #include "service/VerificationService.h"
+#include "support/TextCodec.h"
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -52,6 +59,10 @@ using namespace charon;
 
 namespace {
 
+/// Upper bound for --workers and --fleet-workers: each unit is a thread or
+/// a process, so a typo must not ask the host for billions of them.
+constexpr unsigned MaxWorkers = 1024;
+
 [[noreturn]] void usage(const char *Argv0) {
   std::fprintf(stderr,
                "usage: %s [requests.jsonl] [--workers N] [--cache N] "
@@ -60,6 +71,15 @@ namespace {
                "[--fleet-chaos-kill N] [--quiet]\n",
                Argv0);
   std::exit(2);
+}
+
+/// The value of a count flag: a decimal integer in [0, Max], else usage().
+template <class IntT>
+IntT countFlag(const char *Text, IntT Max, const char *Argv0) {
+  IntT Value;
+  if (!parseInteger(Text, Value) || Value > Max)
+    usage(Argv0);
+  return Value;
 }
 
 std::string siblingWorkerBinary(const char *Argv0) {
@@ -82,13 +102,11 @@ int main(int Argc, char **Argv) {
   int ChaosKill = -1;
   bool Certify = false;
   bool Quiet = false;
-  if (const char *Env = std::getenv("CHARON_FLEET_CHAOS_KILL"))
-    ChaosKill = std::atoi(Env);
   for (int I = 1; I < Argc; ++I) {
     if (!std::strcmp(Argv[I], "--workers") && I + 1 < Argc)
-      SC.Workers = static_cast<unsigned>(std::atoi(Argv[++I]));
+      SC.Workers = countFlag(Argv[++I], MaxWorkers, Argv[0]);
     else if (!std::strcmp(Argv[I], "--cache") && I + 1 < Argc)
-      SC.CacheCapacity = static_cast<size_t>(std::atol(Argv[++I]));
+      SC.CacheCapacity = countFlag(Argv[++I], SIZE_MAX, Argv[0]);
     else if (!std::strcmp(Argv[I], "--no-cache"))
       SC.EnableCache = false;
     else if (!std::strcmp(Argv[I], "--cache-file") && I + 1 < Argc)
@@ -98,11 +116,12 @@ int main(int Argc, char **Argv) {
     else if (!std::strcmp(Argv[I], "--policy") && I + 1 < Argc)
       PolicyPath = Argv[++I];
     else if (!std::strcmp(Argv[I], "--fleet-workers") && I + 1 < Argc)
-      FleetWorkers = static_cast<unsigned>(std::atoi(Argv[++I]));
+      FleetWorkers = countFlag(Argv[++I], MaxWorkers, Argv[0]);
     else if (!std::strcmp(Argv[I], "--worker-bin") && I + 1 < Argc)
       WorkerBin = Argv[++I];
     else if (!std::strcmp(Argv[I], "--fleet-chaos-kill") && I + 1 < Argc)
-      ChaosKill = std::atoi(Argv[++I]);
+      ChaosKill = static_cast<int>(
+          countFlag(Argv[++I], static_cast<unsigned>(INT_MAX), Argv[0]));
     else if (!std::strcmp(Argv[I], "--quiet"))
       Quiet = true;
     else if (Argv[I][0] != '-' && RequestPath.empty())
@@ -247,10 +266,10 @@ int main(int Argc, char **Argv) {
     if (Fleet) {
       FleetStats FS = Fleet->stats();
       std::fprintf(stderr,
-                   "fleet: %u workers, %ld jobs (%ld inline), %ld shards "
-                   "dispatched, %ld steals, %ld worker restarts\n",
+                   "fleet: %u workers, %ld jobs (%ld inline), %ld nodes "
+                   "dispatched, %ld worker restarts\n",
                    Fleet->workers(), FS.Jobs, FS.InlineFallbacks,
-                   FS.ShardsDispatched, FS.Steals, FS.WorkerRestarts);
+                   FS.NodesDispatched, FS.WorkerRestarts);
     }
   }
   return BadLines ? 2 : (Report.Timeout ? 1 : 0);

@@ -3,132 +3,42 @@
 // Part of the Charon reproduction of "Optimization and Abstraction" (PLDI'19).
 //
 // One seat of the verification fleet (src/fleet/): reads JSONL commands on
-// stdin, runs SearchCheckpoint shards with the ordinary serial Verifier,
-// and reports JSONL events on stdout. Not meant to be driven by hand —
-// FleetCoordinator fork/execs it — but the protocol is plain text, so you
-// can: echo '{"cmd":"ping"}' | charon_worker.
+// stdin, expands one proof-tree node per "expand" command with the same
+// SearchEngine::expandNode the in-process search calls, and reports JSONL
+// events on stdout. Not meant to be driven by hand — FleetCoordinator
+// fork/execs it — but the protocol is plain text, so you can:
+// echo '{"cmd":"ping"}' | charon_worker.
 //
 //   charon_worker [--policy F]
 //
-// Cancellation: a reader thread parses stdin concurrently with the running
-// shard. A run command clears the cancel flag and records its shard id
-// *before* the command is queued; a later cancel for that id trips the
-// flag, which the running verifier polls via VerifierConfig::
-// CancelRequested. Commands arrive on one pipe in order, so a cancel can
-// never outrun its run. Stale cancels (for finished shards) are dropped.
+// The worker is single-threaded and answers commands in order. It holds
+// no search state: the coordinator's scheduler owns the proof tree, polls
+// its deadline and cancel hook between nodes, and each expansion aborts
+// its analysis at the budget the command carries.
 //
 // A malformed command line produces an error event and the worker keeps
 // serving — one bad line must not abort the stream (the same rule the
-// batch service follows). Checkpoint digests are *checked*, never trusted:
-// a shard whose checkpoint does not match the reconstructed network/
-// property/config digests is refused with an error event rather than
-// silently searched from the root.
+// batch service follows). So does a node that does not match its loaded
+// network.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Digest.h"
 #include "core/PolicyIo.h"
-#include "core/Verifier.h"
 #include "fleet/FleetProtocol.h"
 #include "nn/Io.h"
-#include "search/Checkpoint.h"
 #include "support/JsonLine.h"
 
-#include <atomic>
-#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <iostream>
 #include <map>
-#include <mutex>
-#include <optional>
 #include <sstream>
-#include <thread>
 
 using namespace charon;
 
 namespace {
-
-struct QueueItem {
-  std::optional<FleetCommand> Cmd;
-  std::string Error; ///< set instead of Cmd for a malformed line
-};
-
-struct CommandQueue {
-  std::mutex M;
-  std::condition_variable Cv;
-  std::deque<QueueItem> Items;
-  bool Eof = false;
-
-  void push(QueueItem Item) {
-    {
-      std::lock_guard<std::mutex> L(M);
-      Items.push_back(std::move(Item));
-    }
-    Cv.notify_one();
-  }
-
-  void markEof() {
-    {
-      std::lock_guard<std::mutex> L(M);
-      Eof = true;
-    }
-    Cv.notify_one();
-  }
-
-  /// False when the stream ended with nothing left to serve.
-  bool pop(QueueItem &Out) {
-    std::unique_lock<std::mutex> L(M);
-    Cv.wait(L, [&] { return !Items.empty() || Eof; });
-    if (Items.empty())
-      return false;
-    Out = std::move(Items.front());
-    Items.pop_front();
-    return true;
-  }
-};
-
-std::atomic<uint64_t> CurrentShard{0};
-std::atomic<bool> CancelFlag{false};
-
-void readerMain(CommandQueue &Q) {
-  std::string Line;
-  while (std::getline(std::cin, Line)) {
-    if (Line.empty())
-      continue;
-    std::string Err;
-    auto Cmd = parseCommandLine(Line, &Err);
-    if (!Cmd) {
-      QueueItem Item;
-      Item.Error = Err;
-      Q.push(std::move(Item));
-      continue;
-    }
-    if (Cmd->K == FleetCommand::Kind::Cancel) {
-      // Handled here, not in the main loop: the flag must trip while the
-      // shard is still running.
-      if (Cmd->CancelShard == CurrentShard.load())
-        CancelFlag.store(true);
-      continue;
-    }
-    if (Cmd->K == FleetCommand::Kind::Run) {
-      // Order matters: clear the flag for the new run before the main
-      // loop can see the command (a stale cancel from the previous shard
-      // must not abort this one).
-      CancelFlag.store(false);
-      CurrentShard.store(Cmd->Run.Shard);
-    }
-    bool Quit = Cmd->K == FleetCommand::Kind::Quit;
-    QueueItem Item;
-    Item.Cmd = std::move(*Cmd);
-    Q.push(std::move(Item));
-    if (Quit)
-      break;
-  }
-  Q.markEof();
-}
 
 void emit(const std::string &Line) {
   std::fwrite(Line.data(), 1, Line.size(), stdout);
@@ -136,55 +46,35 @@ void emit(const std::string &Line) {
   std::fflush(stdout);
 }
 
-void runShard(const RunSpec &Spec, const std::map<uint64_t, Network> &Nets,
-              const VerificationPolicy &Policy) {
-  auto NetIt = Nets.find(Spec.Fingerprint);
-  if (NetIt == Nets.end()) {
-    emit(formatErrorEvent("run: unknown network fingerprint " +
-                          json::formatU64(Spec.Fingerprint)));
-    return;
-  }
-  auto Cp = deserializeCheckpoint(Spec.CheckpointText);
-  if (!Cp) {
-    emit(formatErrorEvent("run: malformed shard checkpoint"));
-    return;
-  }
+std::string load(const FleetCommand &Cmd, std::map<uint64_t, Network> &Nets) {
+  std::istringstream Is(Cmd.NetworkText);
+  auto Net = loadNetwork(Is);
+  if (!Net)
+    return formatErrorEvent("load: malformed network text");
+  uint64_t Fp = fingerprintNetwork(*Net);
+  if (Fp != Cmd.Fingerprint)
+    return formatErrorEvent("load: network fingerprint mismatch");
+  Nets.insert_or_assign(Fp, std::move(*Net));
+  return formatLoadedEvent(Fp);
+}
 
-  RobustnessProperty Prop;
-  Prop.Region = Box(Vector(Spec.Lower), Vector(Spec.Upper));
-  Prop.TargetClass = Spec.Label;
-  VerifierConfig Config = configFromRunSpec(Spec);
-  Config.CancelRequested = [] { return CancelFlag.load(); };
-
-  // Refuse rather than silently searching the wrong query from the root
-  // (which is what handing an incompatible checkpoint to the engine would
-  // do).
-  if (Cp->NetworkFingerprint != Spec.Fingerprint ||
-      Cp->PropertyDigest != digestProperty(Prop) ||
-      Cp->ConfigDigest != digestVerifierConfigSemantics(Config)) {
-    emit(formatErrorEvent("run: shard checkpoint digests do not match the "
-                          "run spec"));
-    return;
-  }
-
-  long BaseExpanded = Cp->Stats.NodesExpanded;
-  Verifier V(NetIt->second, Policy, Config);
-  VerifyResult R = V.verify(Prop, &*Cp);
-
-  FleetEvent Done;
-  Done.K = FleetEvent::Kind::Done;
-  Done.Shard = Spec.Shard;
-  Done.Outcome = toString(R.Result);
-  if (R.Result == Outcome::Falsified) {
-    Done.Cex.assign(R.Counterexample.data(),
-                    R.Counterexample.data() + R.Counterexample.size());
-    Done.Objective = R.ObjectiveAtCex;
-  }
-  Done.Stats = R.Stats;
-  Done.ExpandedHere = R.Stats.NodesExpanded - BaseExpanded;
-  if (R.Result == Outcome::Timeout && R.Checkpoint)
-    Done.CheckpointText = serializeCheckpoint(*R.Checkpoint);
-  emit(formatDoneEvent(Done));
+std::string expand(const ExpandSpec &Spec,
+                   const std::map<uint64_t, Network> &Nets,
+                   const VerificationPolicy &Policy) {
+  auto It = Nets.find(Spec.Fingerprint);
+  if (It == Nets.end())
+    return formatErrorEvent("expand: unknown network fingerprint " +
+                            json::formatU64(Spec.Fingerprint));
+  const Network &Net = It->second;
+  if (Spec.Region.dim() != Net.inputSize() || Spec.Label >= Net.outputSize())
+    return formatErrorEvent("expand: node does not match the network");
+  RobustnessProperty Prop{Spec.Region, Spec.Label, ""};
+  Deadline Budget(Spec.BudgetSeconds);
+  NodeExpansion E = SearchEngine(Net, Policy, Spec.Config)
+                        .expandNode(Prop, Spec.Region,
+                                    Spec.Warm.empty() ? nullptr : &Spec.Warm,
+                                    Spec.PathSeed, &Budget);
+  return formatExpandedEvent(E);
 }
 
 } // namespace
@@ -193,6 +83,8 @@ int main(int Argc, char **Argv) {
   // A coordinator that died mid-conversation must surface as a failed
   // write, not a SIGPIPE death.
   std::signal(SIGPIPE, SIG_IGN);
+  // Expand lines carry whole regions; read them in bulk, not per char.
+  std::ios::sync_with_stdio(false);
 
   std::string PolicyPath;
   for (int I = 1; I < Argc; ++I) {
@@ -215,48 +107,31 @@ int main(int Argc, char **Argv) {
                    PolicyPath.c_str());
   }
 
-  CommandQueue Q;
-  std::thread Reader([&Q] { readerMain(Q); });
   std::map<uint64_t, Network> Nets;
-
   emit(formatReadyEvent());
-  QueueItem Item;
-  while (Q.pop(Item)) {
-    if (!Item.Error.empty()) {
-      emit(formatErrorEvent(Item.Error));
+  std::string Line;
+  while (std::getline(std::cin, Line)) {
+    if (Line.empty())
+      continue;
+    std::string Err;
+    auto Cmd = parseCommandLine(Line, &Err);
+    if (!Cmd) {
+      emit(formatErrorEvent(Err));
       continue;
     }
-    FleetCommand &Cmd = *Item.Cmd;
-    switch (Cmd.K) {
-    case FleetCommand::Kind::Load: {
-      std::istringstream Is(Cmd.NetworkText);
-      auto Net = loadNetwork(Is);
-      if (!Net) {
-        emit(formatErrorEvent("load: malformed network text"));
-        break;
-      }
-      uint64_t Fp = fingerprintNetwork(*Net);
-      if (Fp != Cmd.Fingerprint) {
-        emit(formatErrorEvent("load: network fingerprint mismatch"));
-        break;
-      }
-      Nets.insert_or_assign(Fp, std::move(*Net));
-      emit(formatLoadedEvent(Fp));
+    switch (Cmd->K) {
+    case FleetCommand::Kind::Load:
+      emit(load(*Cmd, Nets));
       break;
-    }
-    case FleetCommand::Kind::Run:
-      runShard(Cmd.Run, Nets, Policy);
+    case FleetCommand::Kind::Expand:
+      emit(expand(Cmd->Expand, Nets, Policy));
       break;
     case FleetCommand::Kind::Ping:
       emit(formatPongEvent());
       break;
     case FleetCommand::Kind::Quit:
-      Reader.join();
       return 0;
-    case FleetCommand::Kind::Cancel:
-      break; // reader-thread concern; stale by the time it gets here
     }
   }
-  Reader.join();
   return 0;
 }

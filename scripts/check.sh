@@ -51,7 +51,9 @@
 # sanitize leg runs the importer and the smooth transformers instrumented
 # with forced-threaded kernels.
 # A malformed-input smoke closes the run: oversized .net, .prop and
-# certificate files, a NaN request line and a NaN-weight ONNX model must
+# certificate files, a NaN request line, a NaN-weight ONNX model, and
+# malformed numeric flags of charon_serve and charon_cli (negative or
+# oversized counts, trailing bytes, non-finite numbers, delta <= 0) must
 # each be rejected with a diagnostic and an exit code in 1..127 (never a
 # signal); the sanitize leg runs them under ASan + UBSan.
 # Before any of that, scripts/check_test_registration.sh asserts every
@@ -75,11 +77,12 @@ fi
 scripts/check_test_registration.sh
 
 cmake -B "$BUILD_DIR" -S . "${CMAKE_ARGS[@]}"
-cmake --build "$BUILD_DIR" -j
+cmake --build "$BUILD_DIR" -j "$(nproc)"
 if [[ "$SANITIZE" == 1 ]]; then
-  (cd "$BUILD_DIR" && CHARON_KERNEL_THRESHOLD=1 ctest --output-on-failure -j)
+  (cd "$BUILD_DIR" &&
+     CHARON_KERNEL_THRESHOLD=1 ctest --output-on-failure -j "$(nproc)")
 else
-  (cd "$BUILD_DIR" && ctest --output-on-failure -j)
+  (cd "$BUILD_DIR" && ctest --output-on-failure -j "$(nproc)")
 fi
 
 # Dispatch-matrix leg: the SIMD-sensitive suites must pass at every level
@@ -605,3 +608,25 @@ expect_rejected nan-request "$BUILD_DIR/examples/charon_serve" \
   "$BAD_DIR/nan.jsonl" --no-cache --workers 1
 expect_rejected nan-onnx "$BUILD_DIR/examples/charon_cli" \
   "$BAD_DIR/nan.onnx" "$BAD_DIR/nan-gemm.prop"
+# Malformed flags: counts must be plain non-negative integers within their
+# bound (a worker count is threads or processes), numbers finite with no
+# trailing bytes, and delta positive (Theorem 5.2). Each is a usage error.
+BAD_FLAGS=(
+  "--workers -1" "--workers 1025" "--workers 99999999999" "--workers 2x"
+  "--fleet-workers -1" "--fleet-workers 1025" "--cache -5" "--cache 1e3"
+  "--fleet-chaos-kill -1"
+)
+for FLAGS in "${BAD_FLAGS[@]}"; do
+  # shellcheck disable=SC2086  # each entry is a flag and its value
+  expect_rejected "serve${FLAGS// /}" "$BUILD_DIR/examples/charon_serve" \
+    "$BAD_DIR/nan.jsonl" --no-cache $FLAGS
+done
+BAD_FLAGS=(
+  "--delta 0" "--delta -1e-6" "--delta nan" "--budget inf" "--budget 1x"
+  "--cegar-ratio 0" "--cegar-rounds -1" "--cegar-rounds 3.5"
+)
+for FLAGS in "${BAD_FLAGS[@]}"; do
+  # shellcheck disable=SC2086
+  expect_rejected "cli${FLAGS// /}" "$BUILD_DIR/examples/charon_cli" \
+    "$TRACE_DIR/acas.net" "$TRACE_DIR/acas-1.prop" $FLAGS
+done

@@ -3,7 +3,6 @@
 #include "fleet/FleetProtocol.h"
 
 #include "core/Digest.h"
-#include "core/Property.h"
 #include "support/JsonLine.h"
 
 using namespace charon;
@@ -23,6 +22,14 @@ std::nullopt_t fail(std::string *Error, const std::string &Msg) {
 }
 
 /// Stats travel as the twelve StatsCounters followed by Seconds.
+std::vector<double> statsToArray(const VerifyStats &S) {
+  std::vector<double> A;
+  for (long VerifyStats::*Counter : StatsCounters)
+    A.push_back(static_cast<double>(S.*Counter));
+  A.push_back(S.Seconds);
+  return A;
+}
+
 bool statsFromArray(const std::vector<double> &A, VerifyStats &S) {
   if (A.size() != std::size(StatsCounters) + 1)
     return false;
@@ -33,10 +40,70 @@ bool statsFromArray(const std::vector<double> &A, VerifyStats &S) {
   return true;
 }
 
+const char *const KindNames[] = {"falsified", "verified", "split",
+                                 "aborted"};
+
+bool kindFromName(const std::string &Name, NodeExpansion::Kind &Out) {
+  for (size_t I = 0; I < std::size(KindNames); ++I)
+    if (Name == KindNames[I]) {
+      Out = static_cast<NodeExpansion::Kind>(I);
+      return true;
+    }
+  return false;
+}
+
+/// The semantic config fields, in wire order.
+ObjectWriter &writeConfig(ObjectWriter &W, const VerifierConfig &C) {
+  return W.num("delta", C.Delta)
+      .num("maxdepth", C.MaxDepth)
+      .num("pgd_steps", C.Pgd.Steps)
+      .num("pgd_restarts", C.Pgd.Restarts)
+      .num("pgd_step_scale", C.Pgd.StepScale)
+      .str("optimizer", C.Optimizer == CexSearchKind::Fgsm ? "fgsm" : "pgd")
+      .flag("use_cex_search", C.UseCounterexampleSearch)
+      .str("seed", formatU64(C.Seed))
+      .str("order", toString(C.SearchOrder))
+      .str("precision",
+           C.Precision == KernelPrecision::Float32 ? "float32" : "double");
+}
+
+/// Parses one semantic config key into \p C; false when \p Key is not one
+/// or its value is mistyped or out of range.
+bool readConfigKey(const std::string &Key, const Value &V, VerifierConfig &C) {
+  auto Word = [&](const char *A, const char *B) {
+    return V.K == Value::Str && (V.S == A || V.S == B);
+  };
+  if (Key == "delta" && V.K == Value::Num && V.N > 0.0)
+    C.Delta = V.N;
+  else if (Key == "maxdepth" && V.K == Value::Num)
+    return toInteger(V.N, C.MaxDepth);
+  else if (Key == "pgd_steps" && V.K == Value::Num)
+    return toInteger(V.N, C.Pgd.Steps);
+  else if (Key == "pgd_restarts" && V.K == Value::Num)
+    return toInteger(V.N, C.Pgd.Restarts);
+  else if (Key == "pgd_step_scale" && V.K == Value::Num)
+    C.Pgd.StepScale = V.N;
+  else if (Key == "optimizer" && Word("pgd", "fgsm"))
+    C.Optimizer = V.S == "fgsm" ? CexSearchKind::Fgsm : CexSearchKind::Pgd;
+  else if (Key == "use_cex_search" && V.K == Value::Bool)
+    C.UseCounterexampleSearch = V.B;
+  else if (Key == "seed" && V.K == Value::Str)
+    return parseU64(V.S, C.Seed);
+  else if (Key == "order" && Word("lifo", "best-first"))
+    C.SearchOrder = V.S == "lifo" ? FrontierOrder::Lifo
+                                  : FrontierOrder::BestFirst;
+  else if (Key == "precision" && Word("double", "float32"))
+    C.Precision = V.S == "double" ? KernelPrecision::Double
+                                  : KernelPrecision::Float32;
+  else
+    return false;
+  return true;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Command formatting
+// Formatting
 //===----------------------------------------------------------------------===//
 
 std::string charon::formatLoadCommand(uint64_t Fingerprint,
@@ -48,42 +115,22 @@ std::string charon::formatLoadCommand(uint64_t Fingerprint,
       .done();
 }
 
-std::string charon::formatRunCommand(const RunSpec &Spec) {
-  return ObjectWriter()
-      .str("cmd", "run")
-      .num("shard", static_cast<double>(Spec.Shard))
+std::string charon::formatExpandCommand(const ExpandSpec &Spec) {
+  const Box &R = Spec.Region;
+  ObjectWriter W;
+  W.str("cmd", "expand")
       .str("fingerprint", formatU64(Spec.Fingerprint))
       .num("label", static_cast<double>(Spec.Label))
-      .nums("lower", Spec.Lower)
-      .nums("upper", Spec.Upper)
-      .num("delta", Spec.Delta)
-      .num("budget", Spec.BudgetSeconds)
-      .num("maxdepth", Spec.MaxDepth)
-      .num("pgd_steps", Spec.PgdSteps)
-      .num("pgd_restarts", Spec.PgdRestarts)
-      .num("pgd_step_scale", Spec.PgdStepScale)
-      .str("optimizer", Spec.Optimizer)
-      .flag("use_cex_search", Spec.UseCexSearch)
-      .str("seed", formatU64(Spec.Seed))
-      .str("order", Spec.Order)
-      .str("precision", Spec.Precision)
-      .str("checkpoint", Spec.CheckpointText)
-      .done();
-}
-
-std::string charon::formatCancelCommand(uint64_t Shard) {
-  return ObjectWriter()
-      .str("cmd", "cancel")
-      .num("shard", static_cast<double>(Shard))
-      .done();
+      .nums("lower", R.lower().data(), R.dim())
+      .nums("upper", R.upper().data(), R.dim())
+      .nums("warm", Spec.Warm.data(), Spec.Warm.size())
+      .str("path_seed", formatU64(Spec.PathSeed))
+      .num("budget", Spec.BudgetSeconds);
+  return writeConfig(W, Spec.Config).done();
 }
 
 std::string charon::formatPingCommand() { return "{\"cmd\":\"ping\"}"; }
 std::string charon::formatQuitCommand() { return "{\"cmd\":\"quit\"}"; }
-
-//===----------------------------------------------------------------------===//
-// Event formatting
-//===----------------------------------------------------------------------===//
 
 std::string charon::formatReadyEvent() { return "{\"event\":\"ready\"}"; }
 std::string charon::formatPongEvent() { return "{\"event\":\"pong\"}"; }
@@ -95,20 +142,25 @@ std::string charon::formatLoadedEvent(uint64_t Fingerprint) {
       .done();
 }
 
-std::string charon::formatDoneEvent(const FleetEvent &Ev) {
-  std::vector<double> Stats;
-  for (long VerifyStats::*Counter : StatsCounters)
-    Stats.push_back(static_cast<double>(Ev.Stats.*Counter));
-  Stats.push_back(Ev.Stats.Seconds);
-  return ObjectWriter()
-      .str("event", "done")
-      .num("shard", static_cast<double>(Ev.Shard))
-      .str("outcome", Ev.Outcome)
-      .nums("cex", Ev.Cex)
-      .num("objective", Ev.Objective)
-      .nums("stats", Stats)
-      .num("expanded_here", static_cast<double>(Ev.ExpandedHere))
-      .str("checkpoint", Ev.CheckpointText)
+std::string charon::formatExpandedEvent(const NodeExpansion &E) {
+  ObjectWriter W;
+  W.str("event", "expanded")
+      .str("kind", KindNames[static_cast<size_t>(E.Result)])
+      .num("pgd_objective", E.PgdObjective);
+  if (E.Result == NodeExpansion::Kind::Falsified)
+    W.nums("cex", E.Cex.data(), E.Cex.size())
+        .num("cex_objective", E.CexObjective);
+  if (E.Result == NodeExpansion::Kind::Split)
+    W.num("split_dim", static_cast<double>(E.Split.Dim))
+        .num("split_cut", E.Split.Cut)
+        .nums("xstar", E.XStar.data(), E.XStar.size());
+  if (E.DomainChosen)
+    W.num("domain", static_cast<double>(E.Domain.Base))
+        .num("disjuncts", E.Domain.Disjuncts);
+  if (E.MarginKnown)
+    W.num("margin", E.Margin);
+  return W.nums("stats", statsToArray(E.Stats))
+      .num("seconds", E.Seconds)
       .done();
 }
 
@@ -139,14 +191,6 @@ std::optional<FleetCommand> charon::parseCommandLine(const std::string &Line,
     Out.K = FleetCommand::Kind::Quit;
     return Out;
   }
-  if (Cmd == "cancel") {
-    Out.K = FleetCommand::Kind::Cancel;
-    auto It = Obj.find("shard");
-    if (It == Obj.end() || It->second.K != Value::Num ||
-        !toInteger(It->second.N, Out.CancelShard))
-      return fail(Error, "cancel needs \"shard\"");
-    return Out;
-  }
   if (Cmd == "load") {
     Out.K = FleetCommand::Kind::Load;
     auto FpIt = Obj.find("fingerprint");
@@ -155,62 +199,49 @@ std::optional<FleetCommand> charon::parseCommandLine(const std::string &Line,
         !parseU64(FpIt->second.S, Out.Fingerprint) || NetIt == Obj.end() ||
         NetIt->second.K != Value::Str)
       return fail(Error, "load needs \"fingerprint\" and \"network\"");
-    Out.NetworkText = NetIt->second.S;
+    Out.NetworkText = std::move(NetIt->second.S); // a whole network
     return Out;
   }
-  if (Cmd != "run")
+  if (Cmd != "expand")
     return fail(Error, "unknown cmd: " + Cmd);
 
-  Out.K = FleetCommand::Kind::Run;
-  RunSpec &R = Out.Run;
-  for (const auto &[Key, V] : Obj) {
+  Out.K = FleetCommand::Kind::Expand;
+  ExpandSpec &S = Out.Expand;
+  std::vector<double> Lower, Upper;
+  bool HaveFp = false, HaveSeed = false;
+  for (auto &[Key, V] : Obj) { // arrays are moved out: a region is large
     if (Key == "cmd")
       continue;
-    if (Key == "shard" && V.K == Value::Num && toInteger(V.N, R.Shard))
-      ;
-    else if (Key == "fingerprint" && V.K == Value::Str &&
-             parseU64(V.S, R.Fingerprint))
-      ;
-    else if (Key == "label" && V.K == Value::Num && toInteger(V.N, R.Label))
+    if (Key == "fingerprint" && V.K == Value::Str &&
+        parseU64(V.S, S.Fingerprint))
+      HaveFp = true;
+    else if (Key == "label" && V.K == Value::Num && toInteger(V.N, S.Label))
       ;
     else if (Key == "lower" && V.K == Value::NumArray)
-      R.Lower = V.A;
+      Lower = std::move(V.A);
     else if (Key == "upper" && V.K == Value::NumArray)
-      R.Upper = V.A;
-    else if (Key == "delta" && V.K == Value::Num)
-      R.Delta = V.N;
+      Upper = std::move(V.A);
+    else if (Key == "warm" && V.K == Value::NumArray)
+      S.Warm = Vector(std::move(V.A));
+    else if (Key == "path_seed" && V.K == Value::Str &&
+             parseU64(V.S, S.PathSeed))
+      HaveSeed = true;
     else if (Key == "budget" && V.K == Value::Num)
-      R.BudgetSeconds = V.N;
-    else if (Key == "maxdepth" && V.K == Value::Num &&
-             toInteger(V.N, R.MaxDepth))
-      ;
-    else if (Key == "pgd_steps" && V.K == Value::Num &&
-             toInteger(V.N, R.PgdSteps))
-      ;
-    else if (Key == "pgd_restarts" && V.K == Value::Num &&
-             toInteger(V.N, R.PgdRestarts))
-      ;
-    else if (Key == "pgd_step_scale" && V.K == Value::Num)
-      R.PgdStepScale = V.N;
-    else if (Key == "optimizer" && V.K == Value::Str)
-      R.Optimizer = V.S;
-    else if (Key == "use_cex_search" && V.K == Value::Bool)
-      R.UseCexSearch = V.B;
-    else if (Key == "seed" && V.K == Value::Str && parseU64(V.S, R.Seed))
-      ;
-    else if (Key == "order" && V.K == Value::Str)
-      R.Order = V.S;
-    else if (Key == "precision" && V.K == Value::Str)
-      R.Precision = V.S;
-    else if (Key == "checkpoint" && V.K == Value::Str)
-      R.CheckpointText = V.S;
-    else
-      return fail(Error, "unknown or mistyped run key: " + Key);
+      S.BudgetSeconds = V.N;
+    else if (!readConfigKey(Key, V, S.Config))
+      return fail(Error, "unknown, mistyped or out-of-range expand key: " +
+                             Key);
   }
-  if (R.Lower.empty() || R.Lower.size() != R.Upper.size())
-    return fail(Error, "run needs matching \"lower\"/\"upper\"");
-  if (R.CheckpointText.empty())
-    return fail(Error, "run needs \"checkpoint\"");
+  if (!HaveFp || !HaveSeed)
+    return fail(Error, "expand needs \"fingerprint\" and \"path_seed\"");
+  if (Lower.empty() || Lower.size() != Upper.size())
+    return fail(Error, "expand needs matching \"lower\"/\"upper\"");
+  for (size_t I = 0; I < Lower.size(); ++I)
+    if (Lower[I] > Upper[I])
+      return fail(Error, "expand region has inverted bounds");
+  if (!S.Warm.empty() && S.Warm.size() != Lower.size())
+    return fail(Error, "expand \"warm\" does not match the region");
+  S.Region = Box(Vector(std::move(Lower)), Vector(std::move(Upper)));
   return Out;
 }
 
@@ -248,37 +279,59 @@ std::optional<FleetEvent> charon::parseEventLine(const std::string &Line,
       Out.Message = It->second.S;
     return Out;
   }
-  if (Ev != "done")
+  if (Ev != "expanded")
     return fail(Error, "unknown event: " + Ev);
 
-  Out.K = FleetEvent::Kind::Done;
-  bool HaveStats = false;
-  for (const auto &[Key, V] : Obj) {
+  Out.K = FleetEvent::Kind::Expanded;
+  NodeExpansion &E = Out.Expansion;
+  bool HaveKind = false, HaveStats = false, HaveCex = false,
+       HaveSplit = false;
+  int Base = 0;
+  for (auto &[Key, V] : Obj) {
     if (Key == "event")
       continue;
-    if (Key == "shard" && V.K == Value::Num && toInteger(V.N, Out.Shard))
+    if (Key == "kind" && V.K == Value::Str && kindFromName(V.S, E.Result))
+      HaveKind = true;
+    else if (Key == "pgd_objective" && V.K == Value::Num)
+      E.PgdObjective = V.N;
+    else if (Key == "cex" && V.K == Value::NumArray) {
+      E.Cex = Vector(std::move(V.A));
+      HaveCex = true;
+    } else if (Key == "cex_objective" && V.K == Value::Num)
+      E.CexObjective = V.N;
+    else if (Key == "split_dim" && V.K == Value::Num &&
+             toInteger(V.N, E.Split.Dim))
+      HaveSplit = true;
+    else if (Key == "split_cut" && V.K == Value::Num)
+      E.Split.Cut = V.N;
+    else if (Key == "xstar" && V.K == Value::NumArray)
+      E.XStar = Vector(std::move(V.A));
+    else if (Key == "domain" && V.K == Value::Num && toInteger(V.N, Base) &&
+             Base >= 0 && Base <= static_cast<int>(BaseDomainKind::Polyhedra))
+      E.DomainChosen = true;
+    else if (Key == "disjuncts" && V.K == Value::Num &&
+             toInteger(V.N, E.Domain.Disjuncts) && E.Domain.Disjuncts >= 1)
       ;
-    else if (Key == "outcome" && V.K == Value::Str)
-      Out.Outcome = V.S;
-    else if (Key == "cex" && V.K == Value::NumArray)
-      Out.Cex = V.A;
-    else if (Key == "objective" && V.K == Value::Num)
-      Out.Objective = V.N;
-    else if (Key == "stats" && V.K == Value::NumArray)
-      HaveStats = statsFromArray(V.A, Out.Stats);
-    else if (Key == "expanded_here" && V.K == Value::Num &&
-             toInteger(V.N, Out.ExpandedHere))
-      ;
-    else if (Key == "checkpoint" && V.K == Value::Str)
-      Out.CheckpointText = V.S;
+    else if (Key == "margin" && V.K == Value::Num) {
+      E.Margin = V.N;
+      E.MarginKnown = true;
+    } else if (Key == "stats" && V.K == Value::NumArray)
+      HaveStats = statsFromArray(V.A, E.Stats);
+    else if (Key == "seconds" && V.K == Value::Num)
+      E.Seconds = V.N;
     else
-      return fail(Error, "unknown or mistyped done key: " + Key);
+      return fail(Error, "unknown or mistyped expanded key: " + Key);
   }
-  if (Out.Outcome != "verified" && Out.Outcome != "falsified" &&
-      Out.Outcome != "timeout")
-    return fail(Error, "done needs a valid \"outcome\"");
+  if (E.DomainChosen)
+    E.Domain.Base = static_cast<BaseDomainKind>(Base);
+  if (!HaveKind)
+    return fail(Error, "expanded needs a valid \"kind\"");
   if (!HaveStats)
-    return fail(Error, "done needs a 13-element \"stats\"");
+    return fail(Error, "expanded needs a 13-element \"stats\"");
+  if (HaveCex != (E.Result == NodeExpansion::Kind::Falsified))
+    return fail(Error, "expanded carries \"cex\" iff kind is falsified");
+  if (HaveSplit != (E.Result == NodeExpansion::Kind::Split))
+    return fail(Error, "expanded carries \"split_dim\" iff kind is split");
   return Out;
 }
 
@@ -286,63 +339,16 @@ std::optional<FleetEvent> charon::parseEventLine(const std::string &Line,
 // Config transport
 //===----------------------------------------------------------------------===//
 
-VerifierConfig charon::configFromRunSpec(const RunSpec &Spec) {
-  VerifierConfig C;
-  C.Delta = Spec.Delta;
-  C.TimeLimitSeconds = Spec.BudgetSeconds;
-  C.MaxDepth = Spec.MaxDepth;
-  C.Pgd.Steps = Spec.PgdSteps;
-  C.Pgd.Restarts = Spec.PgdRestarts;
-  C.Pgd.StepScale = Spec.PgdStepScale;
-  C.Optimizer =
-      Spec.Optimizer == "fgsm" ? CexSearchKind::Fgsm : CexSearchKind::Pgd;
-  C.UseCounterexampleSearch = Spec.UseCexSearch;
-  C.Seed = Spec.Seed;
-  C.SearchOrder = Spec.Order == "best-first" ? FrontierOrder::BestFirst
-                                             : FrontierOrder::Lifo;
-  C.Precision = Spec.Precision == "float32" ? KernelPrecision::Float32
-                                            : KernelPrecision::Double;
-  return C;
-}
-
-RunSpec charon::runSpecFromJob(const VerifierConfig &Config,
-                               const RobustnessProperty &Prop,
-                               uint64_t Fingerprint) {
-  RunSpec Spec;
-  Spec.Fingerprint = Fingerprint;
-  Spec.Label = Prop.TargetClass;
-  Spec.Lower.resize(Prop.Region.dim());
-  Spec.Upper.resize(Prop.Region.dim());
-  for (size_t I = 0; I < Prop.Region.dim(); ++I) {
-    Spec.Lower[I] = Prop.Region.lower()[I];
-    Spec.Upper[I] = Prop.Region.upper()[I];
-  }
-  Spec.Delta = Config.Delta;
-  Spec.BudgetSeconds = Config.TimeLimitSeconds;
-  Spec.MaxDepth = Config.MaxDepth;
-  Spec.PgdSteps = Config.Pgd.Steps;
-  Spec.PgdRestarts = Config.Pgd.Restarts;
-  Spec.PgdStepScale = Config.Pgd.StepScale;
-  Spec.Optimizer = Config.Optimizer == CexSearchKind::Fgsm ? "fgsm" : "pgd";
-  Spec.UseCexSearch = Config.UseCounterexampleSearch;
-  Spec.Seed = Config.Seed;
-  Spec.Order =
-      Config.SearchOrder == FrontierOrder::BestFirst ? "best-first" : "lifo";
-  Spec.Precision =
-      Config.Precision == KernelPrecision::Float32 ? "float32" : "double";
-  return Spec;
-}
-
 bool charon::configTransportable(const VerifierConfig &Config) {
-  // Process-local hooks the wire cannot carry. Trace is not digested, so
-  // it needs an explicit check; the others are also caught by the digest
-  // comparison below, listed here for clarity.
-  if (Config.Trace || Config.CompleteFallback || Config.Cegar.Enabled)
+  // The complete fallback runs inside a node expansion, CEGAR outside the
+  // node scheduler; neither can run in a worker. Both are also digested,
+  // so the round-trip below would catch them — listed here for clarity.
+  if (Config.CompleteFallback || Config.Cegar.Enabled)
     return false;
-  RobustnessProperty Probe;
-  Probe.Region = Box(Vector(std::vector<double>{0.0}),
-                     Vector(std::vector<double>{1.0}));
-  RunSpec Spec = runSpecFromJob(Config, Probe, 0);
-  return digestVerifierConfigSemantics(configFromRunSpec(Spec)) ==
-         digestVerifierConfigSemantics(Config);
+  ExpandSpec Probe;
+  Probe.Region = Box(Vector{0.0}, Vector{1.0});
+  Probe.Config = Config;
+  auto Back = parseCommandLine(formatExpandCommand(Probe));
+  return Back && digestVerifierConfigSemantics(Back->Expand.Config) ==
+                     digestVerifierConfigSemantics(Config);
 }

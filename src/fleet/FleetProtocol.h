@@ -8,19 +8,19 @@
 /// The control channel between the fleet coordinator and charon_worker
 /// processes: one JSON object per line over the worker's stdin/stdout,
 /// reusing the service protocol's JSON subset (support/JsonLine.h). The
-/// unit of work is a serialized SearchCheckpoint shard — a contiguous,
-/// DFS-ordered run of an open proof-search frontier — so a "whole job" is
-/// simply a shard whose frontier is the root node.
+/// unit of work is one proof-tree node: the coordinator's SearchEngine
+/// schedules the whole search, ships a node's inputs in an "expand"
+/// command, and commits the "expanded" reply exactly as it commits an
+/// in-process SearchEngine::expandNode call.
 ///
 /// Commands (coordinator -> worker):
 /// \code
 ///   {"cmd":"load","fingerprint":"<u64>","network":"<.net text>"}
-///   {"cmd":"run","shard":7,"fingerprint":"<u64>","label":3,
-///    "lower":[...],"upper":[...],"delta":1e-6,"budget":10,"maxdepth":400,
-///    "pgd_steps":25,"pgd_restarts":2,"pgd_step_scale":0.3,
-///    "optimizer":"pgd","use_cex_search":true,"seed":"7","order":"lifo",
-///    "precision":"double","checkpoint":"<checkpoint text>"}
-///   {"cmd":"cancel","shard":7}
+///   {"cmd":"expand","fingerprint":"<u64>","label":3,"lower":[...],
+///    "upper":[...],"warm":[...],"path_seed":"<u64>","budget":9.5,
+///    "delta":1e-6,"maxdepth":400,"pgd_steps":25,"pgd_restarts":2,
+///    "pgd_step_scale":0.3,"optimizer":"pgd","use_cex_search":true,
+///    "seed":"7","order":"lifo","precision":"double"}
 ///   {"cmd":"ping"}   {"cmd":"quit"}
 /// \endcode
 ///
@@ -28,20 +28,21 @@
 /// \code
 ///   {"event":"ready"}   {"event":"pong"}
 ///   {"event":"loaded","fingerprint":"<u64>"}
-///   {"event":"done","shard":7,"outcome":"falsified","cex":[...],
-///    "objective":-0.01,"stats":[...13 numbers...],"expanded_here":42,
-///    "checkpoint":""}
+///   {"event":"expanded","kind":"split","pgd_objective":0.4,
+///    "domain":1,"disjuncts":2,"margin":-0.03,"split_dim":4,
+///    "split_cut":0.5,"xstar":[...],"stats":[...13 numbers...],
+///    "seconds":0.002}
 ///   {"event":"error","message":"..."}
 /// \endcode
 ///
-/// 64-bit digests ride as decimal strings (a double cannot hold them).
-/// The run command carries every semantic VerifierConfig field the digest
-/// covers; the worker rebuilds the config with configFromRunSpec and then
-/// *checks* the shard checkpoint's digests against its reconstruction —
-/// a mismatch is a protocol error event, never a silent fresh search.
-/// A malformed command line likewise yields an error event and the worker
-/// keeps serving (mirrors the batch-service rule that one bad line must
-/// not abort the stream).
+/// An expanded event carries "cex"/"cex_objective" only for kind
+/// "falsified", "split_dim"/"split_cut"/"xstar" only for "split",
+/// "domain"/"disjuncts" only when pi_alpha chose a domain, and "margin"
+/// only when the analysis finished. 64-bit values ride as decimal strings
+/// (a double cannot hold them); every number must be finite, so a NaN or
+/// infinity never crosses the wire. A malformed command line yields an
+/// error event and the worker keeps serving (the batch-service rule that
+/// one bad line must not abort the stream).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,62 +50,47 @@
 #define CHARON_FLEET_FLEETPROTOCOL_H
 
 #include "core/Verifier.h"
+#include "search/SearchEngine.h"
 
 #include <optional>
 #include <string>
-#include <vector>
 
 namespace charon {
-struct RobustnessProperty;
 
-/// Everything a worker needs to run one shard.
-struct RunSpec {
-  uint64_t Shard = 0;
-  uint64_t Fingerprint = 0; ///< network to run against (must be loaded)
-  size_t Label = 0;
-  std::vector<double> Lower, Upper; ///< property region
-  double Delta = 1e-6;
-  double BudgetSeconds = -1.0;
-  int MaxDepth = 400;
-  int PgdSteps = 25;
-  int PgdRestarts = 2;
-  double PgdStepScale = 0.3;
-  std::string Optimizer = "pgd";   ///< "pgd" | "fgsm"
-  bool UseCexSearch = true;
-  uint64_t Seed = 7;
-  std::string Order = "lifo";      ///< "lifo" | "best-first"
-  std::string Precision = "double"; ///< "double" | "float32"
-  std::string CheckpointText;       ///< the shard frontier
+/// One node expansion shipped to a worker: the node's inputs to
+/// SearchEngine::expandNode, the job's remaining budget, and the config.
+/// Only the config's semantic fields (the ones the digest covers, minus
+/// the coordinator-side CEGAR and complete-fallback hooks) travel.
+struct ExpandSpec {
+  uint64_t Fingerprint = 0; ///< network to expand against (must be loaded)
+  size_t Label = 0;         ///< target class
+  Box Region;               ///< the node's region
+  Vector Warm;              ///< warm-start witness (empty = none)
+  uint64_t PathSeed = 0;    ///< the node's path-derived RNG seed
+  double BudgetSeconds = -1.0; ///< job budget left; < 0 = unlimited
+  VerifierConfig Config;
 };
 
 /// One parsed command line.
 struct FleetCommand {
-  enum class Kind { Load, Run, Cancel, Ping, Quit } K = Kind::Ping;
-  uint64_t Fingerprint = 0;  ///< Load
-  std::string NetworkText;   ///< Load
-  RunSpec Run;               ///< Run
-  uint64_t CancelShard = 0;  ///< Cancel
+  enum class Kind { Load, Expand, Ping, Quit } K = Kind::Ping;
+  uint64_t Fingerprint = 0; ///< Load
+  std::string NetworkText;  ///< Load
+  ExpandSpec Expand;        ///< Expand
 };
 
 /// One parsed event line.
 struct FleetEvent {
-  enum class Kind { Ready, Loaded, Done, Pong, Error } K = Kind::Ready;
-  uint64_t Fingerprint = 0;    ///< Loaded
-  uint64_t Shard = 0;          ///< Done
-  std::string Outcome;         ///< Done: "verified" | "falsified" | "timeout"
-  std::vector<double> Cex;     ///< Done (falsified)
-  double Objective = 0.0;      ///< Done (falsified)
-  VerifyStats Stats;           ///< Done: the run's cumulative stats
-  long ExpandedHere = 0;       ///< Done: nodes expanded by *this* worker
-  std::string CheckpointText;  ///< Done (timeout): remaining frontier
-  std::string Message;         ///< Error
+  enum class Kind { Ready, Loaded, Expanded, Pong, Error } K = Kind::Ready;
+  uint64_t Fingerprint = 0; ///< Loaded
+  NodeExpansion Expansion;  ///< Expanded
+  std::string Message;      ///< Error
 };
 
 /// Command formatters (one line, no trailing newline).
 std::string formatLoadCommand(uint64_t Fingerprint,
                               const std::string &NetworkText);
-std::string formatRunCommand(const RunSpec &Spec);
-std::string formatCancelCommand(uint64_t Shard);
+std::string formatExpandCommand(const ExpandSpec &Spec);
 std::string formatPingCommand();
 std::string formatQuitCommand();
 
@@ -112,7 +98,7 @@ std::string formatQuitCommand();
 std::string formatReadyEvent();
 std::string formatPongEvent();
 std::string formatLoadedEvent(uint64_t Fingerprint);
-std::string formatDoneEvent(const FleetEvent &Ev);
+std::string formatExpandedEvent(const NodeExpansion &E);
 std::string formatErrorEvent(const std::string &Message);
 
 /// Parsers (inverse of the formatters); nullopt with a reason on any
@@ -122,23 +108,13 @@ std::optional<FleetCommand> parseCommandLine(const std::string &Line,
 std::optional<FleetEvent> parseEventLine(const std::string &Line,
                                          std::string *Error = nullptr);
 
-/// Rebuilds the verifier config a RunSpec describes (budget and depth cap
-/// included; Trace/CancelRequested/CompleteFallback hooks are left empty —
-/// they are process-local). Shared by the worker (to run the shard) and
-/// the coordinator (to prove, via digest comparison, that a job's config
-/// survives the wire round-trip before sharding it).
-VerifierConfig configFromRunSpec(const RunSpec &Spec);
-
-/// Projects a job onto the wire fields (the inverse of configFromRunSpec;
-/// Shard and CheckpointText are left for the caller).
-RunSpec runSpecFromJob(const VerifierConfig &Config,
-                       const RobustnessProperty &Prop, uint64_t Fingerprint);
-
-/// True when \p Config survives the wire round-trip: no process-local
-/// hooks the protocol cannot carry (trace sink, complete-fallback
-/// callback, CEGAR) and a semantics digest unchanged by
-/// runSpecFromJob ∘ configFromRunSpec. Non-transportable jobs run inline
-/// in the coordinator instead — slower, never wrong.
+/// True when nodes of a job under \p Config can expand in a worker: no
+/// process-local hook the node expansion would call (complete-fallback
+/// callback) or that runs outside the node scheduler (CEGAR), and a
+/// semantics digest unchanged by an expand-command round-trip. The trace
+/// sink and the cancel hook stay with the coordinator's scheduler, so they
+/// do not matter. Non-transportable jobs run inline in the coordinator —
+/// slower, never wrong.
 bool configTransportable(const VerifierConfig &Config);
 
 } // namespace charon

@@ -3,10 +3,13 @@
 #include "fleet/WorkerProcess.h"
 
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstring>
+#include <string_view>
 
 #include <fcntl.h>
+#include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -82,51 +85,60 @@ bool WorkerProcess::spawn(const std::string &Binary,
 bool WorkerProcess::sendLine(const std::string &Line) {
   if (InFd < 0)
     return false;
-  std::string Data = Line;
-  Data.push_back('\n');
-  size_t Off = 0;
-  while (Off < Data.size()) {
-    ssize_t N = ::write(InFd, Data.data() + Off, Data.size() - Off);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false; // EPIPE et al.: the child is gone
+  // Two writes instead of a copy with '\n' appended: load lines carry a
+  // whole network. Only the seat's owner writes, so nothing interleaves.
+  for (std::string_view Part :
+       {std::string_view(Line), std::string_view("\n")})
+    while (!Part.empty()) {
+      ssize_t N = ::write(InFd, Part.data(), Part.size());
+      if (N < 0) {
+        if (errno == EINTR)
+          continue;
+        return false; // EPIPE et al.: the child is gone
+      }
+      Part.remove_prefix(static_cast<size_t>(N));
     }
-    Off += static_cast<size_t>(N);
-  }
   return true;
 }
 
-bool WorkerProcess::onReadable() {
-  if (OutFd < 0 || SawEof)
-    return false;
+bool WorkerProcess::readLine(std::string &Line, double TimeoutSeconds) {
+  auto Start = std::chrono::steady_clock::now();
+  size_t Scanned = 0;
   char Chunk[1 << 16];
-  for (;;) {
+  while (true) {
+    size_t Nl = Buf.find('\n', Scanned);
+    if (Nl != std::string::npos) {
+      Line.assign(Buf, 0, Nl);
+      Buf.erase(0, Nl + 1);
+      return true;
+    }
+    Scanned = Buf.size();
+    if (!channelOpen())
+      return false;
     ssize_t N = ::read(OutFd, Chunk, sizeof(Chunk));
     if (N > 0) {
       Buf.append(Chunk, static_cast<size_t>(N));
       continue;
     }
-    if (N == 0) {
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N == 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) {
       SawEof = true;
       return false;
     }
-    if (errno == EINTR)
-      continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK)
-      return true;
-    SawEof = true;
-    return false;
+    int WaitMs = -1;
+    if (TimeoutSeconds >= 0) {
+      double Left = TimeoutSeconds - std::chrono::duration<double>(
+                                         std::chrono::steady_clock::now() -
+                                         Start)
+                                         .count();
+      if (Left <= 0)
+        return false;
+      WaitMs = static_cast<int>(Left * 1000) + 1;
+    }
+    struct pollfd Pfd = {OutFd, POLLIN, 0};
+    ::poll(&Pfd, 1, WaitMs);
   }
-}
-
-bool WorkerProcess::popLine(std::string &Line) {
-  size_t Nl = Buf.find('\n');
-  if (Nl == std::string::npos)
-    return false;
-  Line.assign(Buf, 0, Nl);
-  Buf.erase(0, Nl + 1);
-  return true;
 }
 
 bool WorkerProcess::waitExit(double Seconds) {

@@ -6,13 +6,13 @@
 ///
 /// \file
 /// One fork/exec'd charon_worker child and its line-oriented pipe channel:
-/// blocking writes into the child's stdin, non-blocking buffered reads
-/// from its stdout (poll on outFd(), then onReadable()/popLine()). EOF on
-/// the read side is how the coordinator detects a dead worker — the
-/// precondition for the requeue-outstanding-shards path, so no subtree is
-/// ever lost to a crash. Callers must ignore SIGPIPE (the coordinator and
-/// the worker main both install SIG_IGN); a write into a dead child then
-/// fails with EPIPE instead of killing the process.
+/// blocking writes into the child's stdin, buffered line reads from its
+/// stdout with an optional timeout. EOF on the read side is how the
+/// coordinator detects a dead worker — the precondition for replaying the
+/// node it was expanding, so no subtree is ever lost to a crash. Callers
+/// must ignore SIGPIPE (the coordinator and the worker main both install
+/// SIG_IGN); a write into a dead child then fails with EPIPE instead of
+/// killing the process.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,15 +43,10 @@ public:
   /// Writes one protocol line (appends '\n'). False once the child is gone.
   bool sendLine(const std::string &Line);
 
-  /// Poll this fd for readability; -1 after EOF/kill.
-  int outFd() const { return OutFd; }
-
-  /// Drains whatever the pipe holds right now into the line buffer.
-  /// Returns false on EOF (child exited or closed stdout).
-  bool onReadable();
-
-  /// Pops the next complete line, if any.
-  bool popLine(std::string &Line);
+  /// Reads the next line (without its '\n'), waiting up to
+  /// \p TimeoutSeconds (< 0 waits forever). False on timeout or EOF; after
+  /// EOF channelOpen() is false.
+  bool readLine(std::string &Line, double TimeoutSeconds = -1.0);
 
   /// True while the channel is open (EOF not yet seen).
   bool channelOpen() const { return OutFd >= 0 && !SawEof; }

@@ -29,36 +29,19 @@ struct DfsLess {
 
 } // namespace
 
-/// Outcome of expanding one node, staged off to the side so the caller can
-/// commit it atomically under the search-state lock — or discard it wholesale
-/// when the abstract analysis was aborted by the deadline (Kind == Aborted),
-/// which is what makes checkpoint/resume replay the uninterrupted run.
-struct SearchEngine::Expansion {
-  enum class Kind : uint8_t { Falsified, Verified, Split, Aborted };
-  Kind Result = Kind::Aborted;
-  Vector Cex;                ///< Falsified: the (delta-)counterexample
-  double CexObjective = 0.0; ///< Falsified: F at the counterexample
-  SplitChoice Split;         ///< Split: pi_I's hyperplane
-  Vector XStar;              ///< Split: witness handed to the children
-  DomainSpec Domain;         ///< pi_alpha's choice (valid iff DomainChosen)
-  bool DomainChosen = false;
-  double Margin = 0.0;       ///< analysis margin (valid iff MarginKnown)
-  bool MarginKnown = false;
-  double PgdObjective = 0.0; ///< F(x*) of this node's search
-  VerifyStats Stats;         ///< this node's counters (discarded on Aborted)
-  double Seconds = 0.0;      ///< node wall-clock, for the trace event
-};
-
 /// Everything one run() shares between the drivers: the tree, the frontier,
 /// the DFS-ordered open set, the falsification candidate, and the committed
 /// stats. Guarded by Mutex; Work is signaled whenever the frontier grows or
 /// the done/in-flight state changes.
 struct SearchEngine::SearchState {
-  SearchState(const RobustnessProperty &P, const VerifierConfig &Config)
-      : Prop(P), Budget(Config.TimeLimitSeconds), Tree(Config.Seed),
-        Open(Config.SearchOrder, &Tree), OpenSet(DfsLess{&Tree}) {}
+  SearchState(const RobustnessProperty &P, const VerifierConfig &Config,
+              const NodeExpander &E)
+      : Prop(P), Expand(E), Budget(Config.TimeLimitSeconds),
+        Tree(Config.Seed), Open(Config.SearchOrder, &Tree),
+        OpenSet(DfsLess{&Tree}) {}
 
   const RobustnessProperty &Prop;
+  const NodeExpander &Expand; ///< empty: expand in process
   Deadline Budget;
   Stopwatch Watch;
 
@@ -92,12 +75,12 @@ SearchEngine::SearchEngine(const Network &N, const VerificationPolicy &P,
          "Eq. 4 requires delta > 0 for the termination guarantee");
 }
 
-SearchEngine::Expansion
-SearchEngine::expandNode(const RobustnessProperty &Prop, const Box &Region,
-                         const Vector *Warm, uint64_t Seed,
-                         const Deadline *Budget) const {
+NodeExpansion SearchEngine::expandNode(const RobustnessProperty &Prop,
+                                       const Box &Region, const Vector *Warm,
+                                       uint64_t Seed,
+                                       const Deadline *Budget) const {
   Stopwatch NodeWatch;
-  Expansion E;
+  NodeExpansion E;
   Rng R(Seed);
   size_t K = Prop.TargetClass;
   RobustnessProperty Sub{Region, K, Prop.Name};
@@ -127,7 +110,7 @@ SearchEngine::expandNode(const RobustnessProperty &Prop, const Box &Region,
 
   // Line 3 with Eq. 4: F(x*) <= delta refutes (delta-completeness).
   if (FStar <= Config.Delta) {
-    E.Result = Expansion::Kind::Falsified;
+    E.Result = NodeExpansion::Kind::Falsified;
     E.Cex = std::move(XStar);
     E.CexObjective = FStar;
     ++E.Stats.NodesExpanded;
@@ -151,14 +134,14 @@ SearchEngine::expandNode(const RobustnessProperty &Prop, const Box &Region,
     // The deadline cut the analysis short: discard the whole expansion so
     // the node stays open (and uncounted) in the checkpoint, and a resumed
     // run re-expands it exactly as the uninterrupted run would have.
-    E.Result = Expansion::Kind::Aborted;
+    E.Result = NodeExpansion::Kind::Aborted;
     E.Seconds = NodeWatch.seconds();
     return E;
   }
   E.Margin = Analysis.Margin;
   E.MarginKnown = true;
   if (Analysis.Verified) {
-    E.Result = Expansion::Kind::Verified;
+    E.Result = NodeExpansion::Kind::Verified;
     ++E.Stats.NodesExpanded;
     E.Seconds = NodeWatch.seconds();
     return E;
@@ -171,7 +154,7 @@ SearchEngine::expandNode(const RobustnessProperty &Prop, const Box &Region,
       Region.diameter() <= Config.CompleteFallbackDiameter) {
     switch (Config.CompleteFallback(Net, Region, K)) {
     case Outcome::Verified:
-      E.Result = Expansion::Kind::Verified;
+      E.Result = NodeExpansion::Kind::Verified;
       ++E.Stats.NodesExpanded;
       E.Seconds = NodeWatch.seconds();
       return E;
@@ -185,7 +168,7 @@ SearchEngine::expandNode(const RobustnessProperty &Prop, const Box &Region,
       Intense.EarlyStopObjective = Config.Delta;
       PgdResult P = pgdMinimize(Net, Region, K, Intense, R, &XStar);
       if (P.Objective <= Config.Delta) {
-        E.Result = Expansion::Kind::Falsified;
+        E.Result = NodeExpansion::Kind::Falsified;
         E.Cex = std::move(P.X);
         E.CexObjective = P.Objective;
         ++E.Stats.NodesExpanded;
@@ -202,7 +185,7 @@ SearchEngine::expandNode(const RobustnessProperty &Prop, const Box &Region,
   // Line 8: neither refuted nor proved; ask pi_I how to split. The node's
   // best witness rides along so the children's searches don't rediscover
   // the descent direction from their centers.
-  E.Result = Expansion::Kind::Split;
+  E.Result = NodeExpansion::Kind::Split;
   E.Split = Policy.choosePartition(Net, Sub, XStar, FStar);
   E.XStar = std::move(XStar);
   ++E.Stats.Splits;
@@ -265,8 +248,10 @@ SearchEngine::StepResult SearchEngine::runStep(SearchState &S) const {
   ++S.InFlight;
   Lock.unlock();
 
-  Expansion E = expandNode(S.Prop, Region, Warm.empty() ? nullptr : &Warm,
-                           Seed, &S.Budget);
+  const Vector *WarmPtr = Warm.empty() ? nullptr : &Warm;
+  NodeExpansion E = S.Expand ? S.Expand(Region, WarmPtr, Seed, S.Budget)
+                             : expandNode(S.Prop, Region, WarmPtr, Seed,
+                                          &S.Budget);
 
   Lock.lock();
   --S.InFlight;
@@ -278,12 +263,12 @@ SearchEngine::StepResult SearchEngine::runStep(SearchState &S) const {
   N.MarginKnown = E.MarginKnown;
   const char *TraceOutcome = "aborted";
   switch (E.Result) {
-  case Expansion::Kind::Aborted:
+  case NodeExpansion::Kind::Aborted:
     // Deadline mid-analysis: leave the node open and its stats uncommitted
     // so the checkpoint resumes it from scratch.
     S.TimedOut = true;
     break;
-  case Expansion::Kind::Falsified:
+  case NodeExpansion::Kind::Falsified:
     TraceOutcome = "falsified";
     N.Status = NodeStatus::Falsified;
     N.Warm = Vector();
@@ -301,7 +286,7 @@ SearchEngine::StepResult SearchEngine::runStep(SearchState &S) const {
       S.BestObjective = E.CexObjective;
     }
     break;
-  case Expansion::Kind::Verified:
+  case NodeExpansion::Kind::Verified:
     TraceOutcome = "verified";
     N.Status = NodeStatus::Verified;
     N.Warm = Vector();
@@ -309,7 +294,7 @@ SearchEngine::StepResult SearchEngine::runStep(SearchState &S) const {
     E.Stats.MaxDepth = Depth;
     S.Stats += E.Stats;
     break;
-  case Expansion::Kind::Split: {
+  case NodeExpansion::Kind::Split: {
     TraceOutcome = "split";
     N.Status = NodeStatus::Split;
     N.Warm = Vector();
@@ -427,7 +412,8 @@ VerifyResult SearchEngine::finish(SearchState &S,
 
 VerifyResult SearchEngine::run(const RobustnessProperty &Prop,
                                const SearchCheckpoint *Resume,
-                               ThreadPool *Pool) const {
+                               ThreadPool *Pool,
+                               const NodeExpander &Expand) const {
   assert(Prop.Region.dim() == Net.inputSize() && "property/network mismatch");
   if (Pool) {
     // Pre-warm lazily built affine lowerings (e.g. convolution caches) so
@@ -436,7 +422,7 @@ VerifyResult SearchEngine::run(const RobustnessProperty &Prop,
       (void)Net.layer(I).affineForm();
   }
 
-  SearchState S(Prop, Config);
+  SearchState S(Prop, Config, Expand);
 
   bool Resumed = false;
   if (Resume && Resume->NetworkFingerprint == fingerprintNetwork(Net) &&

@@ -6,11 +6,13 @@
 ///
 /// \file
 /// Algorithm 1 as an explicit, schedulable search over a materialized
-/// ProofTree. One node-expansion path (counterexample search, Eq. 4
+/// ProofTree. One node-expansion function (counterexample search, Eq. 4
 /// refutation check, pi_alpha domain choice + abstract analysis, optional
-/// complete fallback, pi_I split choice) serves both drivers: the serial
-/// loop and the ThreadPool-backed executor differ only in who drains the
-/// Frontier.
+/// complete fallback, pi_I split choice) and one scheduler (runStep) serve
+/// every driver: the serial loop, the ThreadPool-backed executor, and the
+/// process fleet differ only in who drains the Frontier and where a node's
+/// expansion runs — in process, or in a charon_worker that calls the same
+/// expandNode (see fleet/FleetCoordinator.h).
 ///
 /// Determinism contract:
 ///  - A node's expansion is a pure function of (network, policy, config,
@@ -42,6 +44,35 @@
 namespace charon {
 class ThreadPool;
 
+/// Outcome of expanding one node, staged off to the side so the scheduler
+/// can commit it atomically under the search-state lock — or discard it
+/// wholesale when the abstract analysis was aborted by the deadline
+/// (Kind == Aborted), which is what makes checkpoint/resume replay the
+/// uninterrupted run. Plain data, so a worker process can ship it back.
+struct NodeExpansion {
+  enum class Kind : uint8_t { Falsified, Verified, Split, Aborted };
+  Kind Result = Kind::Aborted;
+  Vector Cex;                ///< Falsified: the (delta-)counterexample
+  double CexObjective = 0.0; ///< Falsified: F at the counterexample
+  SplitChoice Split;         ///< Split: pi_I's hyperplane
+  Vector XStar;              ///< Split: witness handed to the children
+  DomainSpec Domain;         ///< pi_alpha's choice (valid iff DomainChosen)
+  bool DomainChosen = false;
+  double Margin = 0.0;       ///< analysis margin (valid iff MarginKnown)
+  bool MarginKnown = false;
+  double PgdObjective = 0.0; ///< F(x*) of this node's search
+  VerifyStats Stats;         ///< this node's counters (discarded on Aborted)
+  double Seconds = 0.0;      ///< node wall-clock, for the trace event
+};
+
+/// Where a node's expansion runs: given the node's region, warm witness
+/// (null when none), path seed, and the job's deadline, returns exactly
+/// what SearchEngine::expandNode would. The fleet passes one that ships
+/// the node to a worker process.
+using NodeExpander = std::function<NodeExpansion(
+    const Box &Region, const Vector *Warm, uint64_t Seed,
+    const Deadline &Budget)>;
+
 /// The proof-search engine. Stateless across runs; each run() builds its
 /// own tree and frontier, so one engine can serve many properties.
 class SearchEngine {
@@ -54,17 +85,22 @@ public:
   /// With \p Resume non-null and compatible (same network fingerprint,
   /// property digest, and budget-free config digest), the search continues
   /// from the checkpoint's frontier; incompatible checkpoints are ignored.
+  /// \p Expand, when set, replaces the in-process expandNode call; it must
+  /// honor expandNode's contract for the verdict to stay bit-identical.
   VerifyResult run(const RobustnessProperty &Prop,
-                   const SearchCheckpoint *Resume, ThreadPool *Pool) const;
+                   const SearchCheckpoint *Resume, ThreadPool *Pool,
+                   const NodeExpander &Expand = nullptr) const;
+
+  /// The one node-expansion function (Algorithm 1 lines 2-8 on one
+  /// region). A pure function of (network, policy, semantic config,
+  /// target class, region, warm witness, seed) — only a \p Budget that
+  /// expires mid-analysis changes the answer, to Aborted.
+  NodeExpansion expandNode(const RobustnessProperty &Prop, const Box &Region,
+                           const Vector *Warm, uint64_t Seed,
+                           const Deadline *Budget) const;
 
 private:
   struct SearchState;
-  struct Expansion;
-
-  /// The shared node-expansion path (Algorithm 1 lines 2-8 on one region).
-  Expansion expandNode(const RobustnessProperty &Prop, const Box &Region,
-                       const Vector *Warm, uint64_t Seed,
-                       const Deadline *Budget) const;
 
   /// Pops, expands, and commits one node. Returns Stepped after useful
   /// work, NoWork when the frontier is empty but expansions are in flight

@@ -136,8 +136,8 @@ struct ServiceConfig {
   /// the same contract (bit-identical verdict/counterexample/objective,
   /// cooperative cancellation via the config's CancelRequested, resumable
   /// Timeout checkpoints) — the fleet coordinator (src/fleet/) satisfies
-  /// it, which is how `charon_serve --fleet-workers=N` dispatches whole
-  /// jobs and their subtree shards to worker processes. Cache lookups,
+  /// it, which is how `charon_serve --fleet-workers=N` expands each job's
+  /// proof-tree nodes on worker processes. Cache lookups,
   /// certificate re-checks, and cache fills stay in this service either
   /// way.
   std::function<VerifyResult(const Network &, const RobustnessProperty &,

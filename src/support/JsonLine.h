@@ -56,8 +56,8 @@ bool parseObjectLine(const std::string &Line, Object &Out,
                      std::string *Error = nullptr);
 
 /// Builds one flat object key by key, escaping strings and printing
-/// numbers as %.17g: `ObjectWriter().str("cmd", "run").num("shard", 3)
-/// .done()` renders `{"cmd":"run","shard":3}`.
+/// numbers as %.17g: `ObjectWriter().str("cmd", "load").num("label", 3)
+/// .done()` renders `{"cmd":"load","label":3}`.
 class ObjectWriter {
 public:
   ObjectWriter &str(const char *Key, const std::string &S);

@@ -2,12 +2,14 @@
 //
 // Part of the Charon reproduction of "Optimization and Abstraction" (PLDI'19).
 //
-// Three layers, bottom up: the JSONL protocol (format/parse round-trips,
-// malformed-line reporting, config transportability), a live charon_worker
-// child driven directly over its pipes (ping, malformed-line recovery,
-// digest-refusal), and the FleetCoordinator against the serial verifier
-// (bit-identical verdicts at 1/2/4 workers, crash-requeue under a chaos
-// kill, inline fallback, resumable fleet timeouts).
+// Three layers, bottom up: the JSONL protocol (expand/expanded round-trips
+// of every field, non-finite and malformed-line rejection, config
+// transportability), a live charon_worker child driven directly over its
+// pipes (ping, malformed-line recovery, node expansions bit-identical to
+// the in-process SearchEngine::expandNode), and the FleetCoordinator
+// against the serial verifier (bit-identical verdicts at 1/2/4 workers,
+// node replay under a chaos kill, inline fallback, resumable fleet
+// timeouts, checkable certificates, traced jobs on the workers).
 //
 // The worker-process tests need the built charon_worker binary; ctest
 // exports its path as CHARON_WORKER_BIN (see tests/CMakeLists.txt). When
@@ -20,6 +22,7 @@
 #include "fleet/FleetProtocol.h"
 #include "fleet/WorkerProcess.h"
 
+#include "cert/CertChecker.h"
 #include "core/Digest.h"
 #include "data/Benchmarks.h"
 #include "nn/Io.h"
@@ -28,9 +31,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <mutex>
 #include <sstream>
-
-#include <poll.h>
 
 using namespace charon;
 
@@ -50,52 +54,164 @@ bool sameVector(const Vector &A, const Vector &B) {
   return true;
 }
 
+bool sameBits(double A, double B) { return std::memcmp(&A, &B, sizeof A) == 0; }
+
+bool sameBits(const Vector &A, const Vector &B) {
+  return A.size() == B.size() &&
+         (A.size() == 0 ||
+          std::memcmp(A.data(), B.data(), A.size() * sizeof(double)) == 0);
+}
+
+/// Every field of two expansions bit for bit, except the wall-clock ones.
+void expectSameExpansion(const NodeExpansion &A, const NodeExpansion &B) {
+  EXPECT_EQ(A.Result, B.Result);
+  EXPECT_TRUE(sameBits(A.Cex, B.Cex));
+  EXPECT_TRUE(sameBits(A.CexObjective, B.CexObjective));
+  EXPECT_EQ(A.Split.Dim, B.Split.Dim);
+  EXPECT_TRUE(sameBits(A.Split.Cut, B.Split.Cut));
+  EXPECT_TRUE(sameBits(A.XStar, B.XStar));
+  EXPECT_EQ(A.DomainChosen, B.DomainChosen);
+  EXPECT_TRUE(A.Domain == B.Domain);
+  EXPECT_EQ(A.MarginKnown, B.MarginKnown);
+  EXPECT_TRUE(sameBits(A.Margin, B.Margin));
+  EXPECT_TRUE(sameBits(A.PgdObjective, B.PgdObjective));
+  for (long VerifyStats::*Counter : StatsCounters)
+    EXPECT_EQ(A.Stats.*Counter, B.Stats.*Counter);
+}
+
 //===----------------------------------------------------------------------===//
 // Protocol layer
 //===----------------------------------------------------------------------===//
 
-TEST(FleetProtocolTest, RunCommandRoundTrips) {
-  RunSpec Spec;
-  Spec.Shard = 42;
+ExpandSpec sampleSpec() {
+  ExpandSpec Spec;
   Spec.Fingerprint = 0xdeadbeefcafef00dull; // needs the full 64 bits
   Spec.Label = 3;
-  Spec.Lower = {0.0, 0.25, -1.5};
-  Spec.Upper = {1.0, 0.75, 2.5};
-  Spec.Delta = 1e-5;
+  Spec.Region = Box(Vector{0.0, 0.25, -1.5}, Vector{1.0, 0.75, 2.5});
+  Spec.Warm = Vector{0.5, -0.0, 0.1};
+  Spec.PathSeed = 0xfedcba9876543210ull;
   Spec.BudgetSeconds = 12.5;
-  Spec.MaxDepth = 123;
-  Spec.PgdSteps = 17;
-  Spec.PgdRestarts = 5;
-  Spec.PgdStepScale = 0.4;
-  Spec.Optimizer = "fgsm";
-  Spec.UseCexSearch = false;
-  Spec.Seed = 0xffffffffffffffffull;
-  Spec.Order = "best-first";
-  Spec.Precision = "float32";
-  Spec.CheckpointText = "charon-checkpoint 1\nline two\n";
+  VerifierConfig &C = Spec.Config;
+  C.Delta = 1e-5;
+  C.MaxDepth = 123;
+  C.Pgd.Steps = 17;
+  C.Pgd.Restarts = 5;
+  C.Pgd.StepScale = 0.4;
+  C.Optimizer = CexSearchKind::Fgsm;
+  C.UseCounterexampleSearch = false;
+  C.Seed = 0xffffffffffffffffull;
+  C.SearchOrder = FrontierOrder::BestFirst;
+  C.Precision = KernelPrecision::Float32;
+  return Spec;
+}
 
+TEST(FleetProtocolTest, ExpandCommandRoundTrips) {
+  ExpandSpec Spec = sampleSpec();
   std::string Err;
-  auto Cmd = parseCommandLine(formatRunCommand(Spec), &Err);
+  auto Cmd = parseCommandLine(formatExpandCommand(Spec), &Err);
   ASSERT_TRUE(Cmd.has_value()) << Err;
-  ASSERT_EQ(Cmd->K, FleetCommand::Kind::Run);
-  const RunSpec &R = Cmd->Run;
-  EXPECT_EQ(R.Shard, Spec.Shard);
+  ASSERT_EQ(Cmd->K, FleetCommand::Kind::Expand);
+  const ExpandSpec &R = Cmd->Expand;
   EXPECT_EQ(R.Fingerprint, Spec.Fingerprint);
   EXPECT_EQ(R.Label, Spec.Label);
-  EXPECT_EQ(R.Lower, Spec.Lower);
-  EXPECT_EQ(R.Upper, Spec.Upper);
-  EXPECT_EQ(R.Delta, Spec.Delta);
+  EXPECT_TRUE(sameBits(R.Region.lower(), Spec.Region.lower()));
+  EXPECT_TRUE(sameBits(R.Region.upper(), Spec.Region.upper()));
+  EXPECT_TRUE(sameBits(R.Warm, Spec.Warm)); // -0.0 keeps its sign
+  EXPECT_EQ(R.PathSeed, Spec.PathSeed);
   EXPECT_EQ(R.BudgetSeconds, Spec.BudgetSeconds);
-  EXPECT_EQ(R.MaxDepth, Spec.MaxDepth);
-  EXPECT_EQ(R.PgdSteps, Spec.PgdSteps);
-  EXPECT_EQ(R.PgdRestarts, Spec.PgdRestarts);
-  EXPECT_EQ(R.PgdStepScale, Spec.PgdStepScale);
-  EXPECT_EQ(R.Optimizer, Spec.Optimizer);
-  EXPECT_EQ(R.UseCexSearch, Spec.UseCexSearch);
-  EXPECT_EQ(R.Seed, Spec.Seed);
-  EXPECT_EQ(R.Order, Spec.Order);
-  EXPECT_EQ(R.Precision, Spec.Precision);
-  EXPECT_EQ(R.CheckpointText, Spec.CheckpointText);
+  const VerifierConfig &C = R.Config, &W = Spec.Config;
+  EXPECT_EQ(C.Delta, W.Delta);
+  EXPECT_EQ(C.MaxDepth, W.MaxDepth);
+  EXPECT_EQ(C.Pgd.Steps, W.Pgd.Steps);
+  EXPECT_EQ(C.Pgd.Restarts, W.Pgd.Restarts);
+  EXPECT_EQ(C.Pgd.StepScale, W.Pgd.StepScale);
+  EXPECT_EQ(C.Optimizer, W.Optimizer);
+  EXPECT_EQ(C.UseCounterexampleSearch, W.UseCounterexampleSearch);
+  EXPECT_EQ(C.Seed, W.Seed);
+  EXPECT_EQ(C.SearchOrder, W.SearchOrder);
+  EXPECT_EQ(C.Precision, W.Precision);
+  EXPECT_EQ(digestVerifierConfigSemantics(C), digestVerifierConfigSemantics(W));
+
+  // No warm witness (the root) round-trips as empty.
+  Spec.Warm = Vector();
+  auto Root = parseCommandLine(formatExpandCommand(Spec));
+  ASSERT_TRUE(Root.has_value());
+  EXPECT_EQ(Root->Expand.Warm.size(), 0u);
+}
+
+TEST(FleetProtocolTest, ExpandedEventRoundTripsEveryKind) {
+  NodeExpansion Split;
+  Split.Result = NodeExpansion::Kind::Split;
+  Split.Split = {2, 0.625};
+  Split.XStar = Vector{0.125, -0.0, 0.875};
+  Split.Domain = {BaseDomainKind::Zonotope, 3};
+  Split.DomainChosen = true;
+  Split.Margin = -3.5e-4;
+  Split.MarginKnown = true;
+  Split.PgdObjective = 0.1 + 0.2; // not exactly representable in decimal
+  long Counter = 1;
+  for (long VerifyStats::*Field : StatsCounters)
+    Split.Stats.*Field = Counter++ * 1000003;
+  Split.Stats.Seconds = 0.75;
+  Split.Seconds = 0.0125;
+
+  NodeExpansion Falsified;
+  Falsified.Result = NodeExpansion::Kind::Falsified;
+  Falsified.Cex = Vector{0.25, 0.5};
+  Falsified.CexObjective = -1e-300;
+  Falsified.PgdObjective = -1e-300;
+
+  NodeExpansion Verified = Split;
+  Verified.Result = NodeExpansion::Kind::Verified;
+  Verified.Split = SplitChoice();
+  Verified.XStar = Vector();
+  Verified.Domain = {BaseDomainKind::Interval, 1};
+
+  NodeExpansion Aborted;
+  Aborted.Result = NodeExpansion::Kind::Aborted;
+  Aborted.Domain = {BaseDomainKind::Polyhedra, 1};
+  Aborted.DomainChosen = true;
+
+  for (const NodeExpansion *E : {&Split, &Falsified, &Verified, &Aborted}) {
+    std::string Err;
+    auto Back = parseEventLine(formatExpandedEvent(*E), &Err);
+    ASSERT_TRUE(Back.has_value()) << Err;
+    ASSERT_EQ(Back->K, FleetEvent::Kind::Expanded);
+    expectSameExpansion(Back->Expansion, *E);
+    EXPECT_EQ(Back->Expansion.Stats.Seconds, E->Stats.Seconds);
+    EXPECT_EQ(Back->Expansion.Seconds, E->Seconds);
+  }
+}
+
+TEST(FleetProtocolTest, NonFiniteValuesNeverCrossTheWire) {
+  const double Nan = std::numeric_limits<double>::quiet_NaN();
+  const double Inf = std::numeric_limits<double>::infinity();
+  std::string Err;
+
+  ExpandSpec Spec = sampleSpec();
+  Spec.Warm[1] = Nan;
+  EXPECT_FALSE(parseCommandLine(formatExpandCommand(Spec), &Err).has_value());
+  Spec = sampleSpec();
+  Spec.Region = Box(Vector{-Inf, 0.0, 0.0}, Vector{1.0, 1.0, 1.0});
+  EXPECT_FALSE(parseCommandLine(formatExpandCommand(Spec), &Err).has_value());
+  Spec = sampleSpec();
+  Spec.BudgetSeconds = Inf;
+  EXPECT_FALSE(parseCommandLine(formatExpandCommand(Spec), &Err).has_value());
+  Spec = sampleSpec();
+  Spec.Config.Pgd.StepScale = Nan;
+  EXPECT_FALSE(parseCommandLine(formatExpandCommand(Spec), &Err).has_value());
+
+  NodeExpansion E;
+  E.Result = NodeExpansion::Kind::Verified;
+  E.Margin = Inf;
+  E.MarginKnown = true;
+  EXPECT_FALSE(parseEventLine(formatExpandedEvent(E), &Err).has_value());
+  E.MarginKnown = false;
+  E.PgdObjective = Nan;
+  EXPECT_FALSE(parseEventLine(formatExpandedEvent(E), &Err).has_value());
+  E.PgdObjective = 0.0;
+  E.Stats.Seconds = Inf;
+  EXPECT_FALSE(parseEventLine(formatExpandedEvent(E), &Err).has_value());
 }
 
 TEST(FleetProtocolTest, LoadCommandCarriesNetworkTextVerbatim) {
@@ -107,55 +223,17 @@ TEST(FleetProtocolTest, LoadCommandCarriesNetworkTextVerbatim) {
   EXPECT_EQ(Cmd->NetworkText, NetText);
 }
 
-TEST(FleetProtocolTest, DoneEventRoundTrips) {
-  FleetEvent Ev;
-  Ev.K = FleetEvent::Kind::Done;
-  Ev.Shard = 9;
-  Ev.Outcome = "falsified";
-  Ev.Cex = {0.125, 0.875};
-  Ev.Objective = -3.5e-4;
-  Ev.Stats.PgdCalls = 10;
-  Ev.Stats.AnalyzeCalls = 20;
-  Ev.Stats.Splits = 30;
-  Ev.Stats.MaxDepth = 4;
-  Ev.Stats.NodesExpanded = 31;
-  Ev.Stats.CegarRounds = 0;
-  Ev.Stats.Seconds = 0.75;
-  Ev.ExpandedHere = 28;
-  Ev.CheckpointText = "";
-
-  std::string Err;
-  auto Back = parseEventLine(formatDoneEvent(Ev), &Err);
-  ASSERT_TRUE(Back.has_value()) << Err;
-  ASSERT_EQ(Back->K, FleetEvent::Kind::Done);
-  EXPECT_EQ(Back->Shard, Ev.Shard);
-  EXPECT_EQ(Back->Outcome, Ev.Outcome);
-  EXPECT_EQ(Back->Cex, Ev.Cex);
-  EXPECT_EQ(Back->Objective, Ev.Objective);
-  EXPECT_EQ(Back->Stats.PgdCalls, Ev.Stats.PgdCalls);
-  EXPECT_EQ(Back->Stats.AnalyzeCalls, Ev.Stats.AnalyzeCalls);
-  EXPECT_EQ(Back->Stats.Splits, Ev.Stats.Splits);
-  EXPECT_EQ(Back->Stats.NodesExpanded, Ev.Stats.NodesExpanded);
-  EXPECT_EQ(Back->Stats.Seconds, Ev.Stats.Seconds);
-  EXPECT_EQ(Back->ExpandedHere, Ev.ExpandedHere);
-  EXPECT_EQ(Back->CheckpointText, Ev.CheckpointText);
-}
-
 TEST(FleetProtocolTest, SimpleLinesRoundTrip) {
   EXPECT_EQ(parseCommandLine(formatPingCommand())->K, FleetCommand::Kind::Ping);
   EXPECT_EQ(parseCommandLine(formatQuitCommand())->K, FleetCommand::Kind::Quit);
-  auto Cancel = parseCommandLine(formatCancelCommand(5));
-  ASSERT_TRUE(Cancel.has_value());
-  EXPECT_EQ(Cancel->K, FleetCommand::Kind::Cancel);
-  EXPECT_EQ(Cancel->CancelShard, 5u);
   EXPECT_EQ(parseEventLine(formatReadyEvent())->K, FleetEvent::Kind::Ready);
   EXPECT_EQ(parseEventLine(formatPongEvent())->K, FleetEvent::Kind::Pong);
   auto Loaded = parseEventLine(formatLoadedEvent(0x8000000000000001ull));
   ASSERT_TRUE(Loaded.has_value());
   EXPECT_EQ(Loaded->Fingerprint, 0x8000000000000001ull);
-  auto Error = parseEventLine(formatErrorEvent("bad \"shard\"\nnews"));
+  auto Error = parseEventLine(formatErrorEvent("bad \"node\"\nnews"));
   ASSERT_TRUE(Error.has_value());
-  EXPECT_EQ(Error->Message, "bad \"shard\"\nnews");
+  EXPECT_EQ(Error->Message, "bad \"node\"\nnews");
 }
 
 TEST(FleetProtocolTest, MalformedLinesReportAReason) {
@@ -164,8 +242,40 @@ TEST(FleetProtocolTest, MalformedLinesReportAReason) {
   EXPECT_FALSE(Err.empty());
   EXPECT_FALSE(parseCommandLine("{\"cmd\":\"warp\"}", &Err).has_value());
   EXPECT_FALSE(parseCommandLine("{\"no_cmd\":1}", &Err).has_value());
+  // The retired shard protocol is gone.
+  EXPECT_FALSE(parseCommandLine("{\"cmd\":\"cancel\",\"shard\":1}", &Err)
+                   .has_value());
   EXPECT_FALSE(parseEventLine("{\"event\":\"???\"}", &Err).has_value());
   EXPECT_FALSE(parseEventLine("{", &Err).has_value());
+
+  // Expand lines are checked field by field.
+  std::string Good = formatExpandCommand(sampleSpec());
+  auto Edit = [&](const std::string &From, const std::string &To) {
+    std::string Line = Good;
+    size_t At = Line.find(From);
+    EXPECT_NE(At, std::string::npos) << From;
+    return Line.replace(At, From.size(), To);
+  };
+  ASSERT_TRUE(parseCommandLine(Good).has_value());
+  EXPECT_FALSE(parseCommandLine(Edit("\"delta\":1.0000000000000001e-05",
+                                     "\"delta\":0"))
+                   .has_value());
+  EXPECT_FALSE(parseCommandLine(Edit("\"fgsm\"", "\"adam\"")).has_value());
+  EXPECT_FALSE(parseCommandLine(Edit("\"upper\":[1,", "\"upper\":[-1,"))
+                   .has_value()); // inverted bounds
+  EXPECT_FALSE(parseCommandLine(Edit("\"warm\":[0.5,", "\"warm\":["))
+                   .has_value()); // warm of the wrong dimension
+  EXPECT_FALSE(parseCommandLine(Edit("\"label\":3", "\"label\":-3"))
+                   .has_value());
+
+  // An expanded event must carry exactly its kind's payload.
+  NodeExpansion Split;
+  Split.Result = NodeExpansion::Kind::Split;
+  Split.XStar = Vector{0.5};
+  std::string Line = formatExpandedEvent(Split);
+  ASSERT_TRUE(parseEventLine(Line).has_value());
+  Line.replace(Line.find("\"split\""), 7, "\"verified\"");
+  EXPECT_FALSE(parseEventLine(Line, &Err).has_value());
 }
 
 TEST(FleetProtocolTest, ConfigTransportability) {
@@ -180,9 +290,10 @@ TEST(FleetProtocolTest, ConfigTransportability) {
   Tuned.Precision = KernelPrecision::Float32;
   EXPECT_TRUE(configTransportable(Tuned));
 
+  // The trace sink runs in the coordinator's scheduler, not in a worker.
   VerifierConfig Traced;
   Traced.Trace = [](const TraceEvent &) {};
-  EXPECT_FALSE(configTransportable(Traced));
+  EXPECT_TRUE(configTransportable(Traced));
 
   VerifierConfig Fallback;
   Fallback.CompleteFallback = [](const Network &, const Box &, size_t) {
@@ -203,22 +314,12 @@ TEST(FleetProtocolTest, ConfigTransportability) {
 std::optional<FleetEvent> awaitEvent(WorkerProcess &W,
                                      double TimeoutSec = 10.0) {
   std::string Line;
-  double Left = TimeoutSec;
-  while (true) {
-    if (W.popLine(Line)) {
-      std::string Err;
-      auto Ev = parseEventLine(Line, &Err);
-      EXPECT_TRUE(Ev.has_value()) << "unparseable event: " << Line << ": "
-                                  << Err;
-      return Ev;
-    }
-    if (!W.channelOpen() || Left <= 0)
-      return std::nullopt;
-    struct pollfd Pfd = {W.outFd(), POLLIN, 0};
-    ::poll(&Pfd, 1, 50);
-    Left -= 0.05;
-    W.onReadable(); // EOF shows up as channelOpen() false after the drain
-  }
+  if (!W.readLine(Line, TimeoutSec))
+    return std::nullopt;
+  std::string Err;
+  auto Ev = parseEventLine(Line, &Err);
+  EXPECT_TRUE(Ev.has_value()) << "unparseable event: " << Line << ": " << Err;
+  return Ev;
 }
 
 class FleetWorkerTest : public ::testing::Test {
@@ -234,6 +335,30 @@ protected:
   }
 
   void TearDown() override { Worker.shutdown(1.0); }
+
+  /// Ships \p Net to the worker and waits for the acknowledgement.
+  void load(const Network &Net) {
+    std::ostringstream NetOs;
+    saveNetwork(Net, NetOs);
+    uint64_t Fp = fingerprintNetwork(Net);
+    ASSERT_TRUE(Worker.sendLine(formatLoadCommand(Fp, NetOs.str())));
+    auto Loaded = awaitEvent(Worker);
+    ASSERT_TRUE(Loaded.has_value());
+    ASSERT_EQ(Loaded->K, FleetEvent::Kind::Loaded);
+    EXPECT_EQ(Loaded->Fingerprint, Fp);
+  }
+
+  /// The worker's expansion of one node.
+  std::optional<NodeExpansion> remoteExpand(const ExpandSpec &Spec) {
+    EXPECT_TRUE(Worker.sendLine(formatExpandCommand(Spec)));
+    auto Ev = awaitEvent(Worker, 4 * BudgetSeconds);
+    if (!Ev || Ev->K != FleetEvent::Kind::Expanded) {
+      ADD_FAILURE() << "no expanded event"
+                    << (Ev ? ": " + Ev->Message : std::string());
+      return std::nullopt;
+    }
+    return Ev->Expansion;
+  }
 
   WorkerProcess Worker;
 };
@@ -259,79 +384,69 @@ TEST_F(FleetWorkerTest, MalformedLineYieldsErrorAndWorkerKeepsServing) {
   EXPECT_EQ(Pong->K, FleetEvent::Kind::Pong);
 }
 
-TEST_F(FleetWorkerTest, RunAgainstUnloadedNetworkIsAnError) {
-  RunSpec Spec;
-  Spec.Shard = 1;
+TEST_F(FleetWorkerTest, ExpandAgainstUnloadedOrMismatchedNetworkIsAnError) {
+  ExpandSpec Spec = sampleSpec();
   Spec.Fingerprint = 12345; // never loaded
-  Spec.Lower = {0.0};
-  Spec.Upper = {1.0};
-  Spec.CheckpointText = "charon-checkpoint 1\n"; // content irrelevant
-  ASSERT_TRUE(Worker.sendLine(formatRunCommand(Spec)));
+  ASSERT_TRUE(Worker.sendLine(formatExpandCommand(Spec)));
   auto Ev = awaitEvent(Worker);
+  ASSERT_TRUE(Ev.has_value());
+  EXPECT_EQ(Ev->K, FleetEvent::Kind::Error);
+
+  // A loaded network whose input size the node does not match.
+  BenchmarkSuite Suite = makeAcasSuite(1, 321, CacheDir);
+  load(Suite.Net);
+  Spec.Fingerprint = fingerprintNetwork(Suite.Net);
+  ASSERT_TRUE(Worker.sendLine(formatExpandCommand(Spec)));
+  Ev = awaitEvent(Worker);
   ASSERT_TRUE(Ev.has_value());
   EXPECT_EQ(Ev->K, FleetEvent::Kind::Error);
 }
 
-TEST_F(FleetWorkerTest, RunsARootShardAndRefusesMismatchedDigests) {
-  BenchmarkSuite Suite = makeAcasSuite(1, 321, CacheDir);
-  ASSERT_FALSE(Suite.Properties.empty());
-  const RobustnessProperty &Prop = Suite.Properties.front();
-
-  uint64_t Fp = fingerprintNetwork(Suite.Net);
-  std::ostringstream NetOs;
-  saveNetwork(Suite.Net, NetOs);
-  ASSERT_TRUE(Worker.sendLine(formatLoadCommand(Fp, NetOs.str())));
-  auto Loaded = awaitEvent(Worker);
-  ASSERT_TRUE(Loaded.has_value());
-  ASSERT_EQ(Loaded->K, FleetEvent::Kind::Loaded);
-  EXPECT_EQ(Loaded->Fingerprint, Fp);
-
+TEST_F(FleetWorkerTest, RootAndChildExpansionsMatchInProcessBitForBit) {
+  BenchmarkSuite Suite = makeAcasSuite(4, 321, CacheDir);
+  load(Suite.Net);
   VerifierConfig Config;
   Config.Seed = 7;
-  Config.TimeLimitSeconds = BudgetSeconds;
-  RunSpec Spec = runSpecFromJob(Config, Prop, Fp);
-  Spec.Shard = 1;
+  VerificationPolicy Policy;
+  SearchEngine Engine(Suite.Net, Policy, Config);
 
-  SearchCheckpoint Root;
-  Root.Order = Config.SearchOrder;
-  Root.NetworkFingerprint = Fp;
-  Root.PropertyDigest = digestProperty(Prop);
-  Root.ConfigDigest = digestVerifierConfigSemantics(Config);
-  CheckpointNode RootNode;
-  RootNode.Region = Prop.Region;
-  Root.Open.push_back(std::move(RootNode));
+  int Children = 0;
+  for (const RobustnessProperty &Prop : Suite.Properties) {
+    SCOPED_TRACE(Prop.Name);
+    ProofTree Tree(Config.Seed);
+    NodeId Root = Tree.addRoot(Prop.Region);
+    ExpandSpec Spec;
+    Spec.Fingerprint = fingerprintNetwork(Suite.Net);
+    Spec.Label = Prop.TargetClass;
+    Spec.Region = Prop.Region;
+    Spec.PathSeed = Tree.node(Root).PathSeed;
+    Spec.Config = Config;
+    NodeExpansion Local =
+        Engine.expandNode(Prop, Spec.Region, nullptr, Spec.PathSeed, nullptr);
+    auto Remote = remoteExpand(Spec);
+    ASSERT_TRUE(Remote.has_value());
+    expectSameExpansion(*Remote, Local);
+    if (Local.Result != NodeExpansion::Kind::Split)
+      continue;
 
-  // A shard whose checkpoint was built for a *different* config must be
-  // refused — resuming it would silently search under the wrong settings.
-  SearchCheckpoint Foreign = Root;
-  Foreign.ConfigDigest ^= 1;
-  Spec.CheckpointText = serializeCheckpoint(Foreign);
-  ASSERT_TRUE(Worker.sendLine(formatRunCommand(Spec)));
-  auto Refused = awaitEvent(Worker);
-  ASSERT_TRUE(Refused.has_value());
-  EXPECT_EQ(Refused->K, FleetEvent::Kind::Error);
-
-  // The genuine root shard runs to a verdict matching the serial verifier.
-  Verifier V(Suite.Net, VerificationPolicy(), Config);
-  VerifyResult Serial = V.verify(Prop);
-
-  Spec.Shard = 2;
-  Spec.CheckpointText = serializeCheckpoint(Root);
-  ASSERT_TRUE(Worker.sendLine(formatRunCommand(Spec)));
-  auto Done = awaitEvent(Worker, 2 * BudgetSeconds);
-  ASSERT_TRUE(Done.has_value());
-  ASSERT_EQ(Done->K, FleetEvent::Kind::Done);
-  EXPECT_EQ(Done->Shard, 2u);
-  EXPECT_EQ(Done->Outcome, toString(Serial.Result));
-  if (Serial.Result == Outcome::Falsified) {
-    ASSERT_EQ(Done->Cex.size(), Serial.Counterexample.size());
-    for (size_t I = 0; I < Done->Cex.size(); ++I)
-      EXPECT_EQ(Done->Cex[I], Serial.Counterexample[I]);
-    EXPECT_EQ(Done->Objective, Serial.ObjectiveAtCex);
+    // The lower child: split region, its own path seed, and the parent's
+    // witness as warm start — every input the scheduler would send.
+    auto [Lower, Upper] = Prop.Region.split(Local.Split.Dim, Local.Split.Cut);
+    auto [LId, UId] =
+        Tree.addChildren(Root, Lower, Upper, Local.XStar, Local.PgdObjective);
+    (void)UId;
+    Spec.Region = Lower;
+    Spec.Warm = Local.XStar;
+    Spec.PathSeed = Tree.node(LId).PathSeed;
+    NodeExpansion LocalChild = Engine.expandNode(Prop, Spec.Region,
+                                                 &Spec.Warm, Spec.PathSeed,
+                                                 nullptr);
+    auto RemoteChild = remoteExpand(Spec);
+    ASSERT_TRUE(RemoteChild.has_value());
+    expectSameExpansion(*RemoteChild, LocalChild);
+    ++Children;
   }
-  if (Serial.Result != Outcome::Timeout) {
-    EXPECT_EQ(Done->Stats.NodesExpanded, Serial.Stats.NodesExpanded);
-  }
+  EXPECT_GE(Children, 1) << "no ACAS root split; the child leg never ran";
 }
 
 //===----------------------------------------------------------------------===//
@@ -448,6 +563,34 @@ TEST_F(FleetIdentityTest, NonTransportableConfigRunsInline) {
   }
 }
 
+TEST(FleetFallbackTest, UnrunnableWorkerBinaryExpandsInProcess) {
+  // Every spawn dies at exec, so each seat breaks after three deaths and
+  // the lanes expand their nodes in process — same verdict, no hang.
+  BenchmarkSuite Suite = makeAcasSuite(1, 321, CacheDir);
+  const RobustnessProperty &Prop = Suite.Properties.front();
+  VerifierConfig Config;
+  Config.Seed = 7;
+  Config.TimeLimitSeconds = BudgetSeconds;
+
+  FleetConfig FC;
+  FC.WorkerBinary = "/nonexistent/charon_worker";
+  FC.Workers = 2;
+  FleetCoordinator Fleet(VerificationPolicy(), FC);
+  FleetJobReport Report;
+  VerifyResult R = Fleet.verify(Suite.Net, Prop, Config, nullptr, &Report);
+  EXPECT_FALSE(Report.Inline);
+  EXPECT_EQ(Report.Restarts, 6); // three deaths per seat, then broken
+  EXPECT_EQ(Fleet.stats().WorkerRestarts, 6);
+
+  VerifyResult Serial = Verifier(Suite.Net, VerificationPolicy(), Config)
+                            .verify(Prop);
+  if (Serial.Result != Outcome::Timeout && R.Result != Outcome::Timeout) {
+    EXPECT_EQ(R.Result, Serial.Result);
+    EXPECT_EQ(R.ObjectiveAtCex, Serial.ObjectiveAtCex);
+    EXPECT_TRUE(sameVector(R.Counterexample, Serial.Counterexample));
+  }
+}
+
 TEST_F(FleetIdentityTest, FleetTimeoutCheckpointResumesSerially) {
   BenchmarkSuite Suite = makeAcasSuite(4, 321, CacheDir);
   VerifierConfig Tight;
@@ -485,6 +628,59 @@ TEST_F(FleetIdentityTest, FleetTimeoutCheckpointResumesSerially) {
     return; // one resumable timeout is the whole point
   }
   GTEST_SKIP() << "no property timed out under the tight budget";
+}
+
+TEST_F(FleetIdentityTest, DecidedVerdictsCarryCheckableCertificates) {
+  BenchmarkSuite Suite = makeAcasSuite(4, 321, CacheDir);
+  VerifierConfig Config;
+  Config.Seed = 7;
+  Config.TimeLimitSeconds = BudgetSeconds;
+  Config.EmitCertificate = true;
+
+  FleetCoordinator Fleet(VerificationPolicy(), fleetConfig(2));
+  int Checked = 0;
+  for (const RobustnessProperty &Prop : Suite.Properties) {
+    SCOPED_TRACE(Prop.Name);
+    VerifyResult R = Fleet.verify(Suite.Net, Prop, Config);
+    if (R.Result == Outcome::Timeout)
+      continue;
+    // The coordinator holds the whole proof tree, so Verified certifies
+    // too — not only Falsified.
+    ASSERT_TRUE(R.Certificate != nullptr) << toString(R.Result);
+    EXPECT_EQ(R.Certificate->Verdict, R.Result);
+    CertCheckReport Check = checkCertificate(Suite.Net, Prop, *R.Certificate);
+    EXPECT_TRUE(Check.Accepted)
+        << (Check.Errors.empty() ? "" : Check.Errors.front());
+    ++Checked;
+  }
+  EXPECT_GE(Checked, 2) << "too few properties decided within budget";
+}
+
+TEST_F(FleetIdentityTest, TracedConfigRunsOnTheWorkers) {
+  BenchmarkSuite Suite = makeAcasSuite(4, 321, CacheDir);
+  const RobustnessProperty &Prop = Suite.Properties.front();
+  VerifierConfig Config;
+  Config.Seed = 7;
+  Config.TimeLimitSeconds = BudgetSeconds;
+  std::mutex EventsMutex;
+  long Events = 0;
+  Config.Trace = [&](const TraceEvent &) {
+    std::lock_guard<std::mutex> L(EventsMutex);
+    ++Events;
+  };
+
+  FleetCoordinator Fleet(VerificationPolicy(), fleetConfig(2));
+  FleetJobReport Report;
+  VerifyResult R = Fleet.verify(Suite.Net, Prop, Config, nullptr, &Report);
+  EXPECT_FALSE(Report.Inline);
+  EXPECT_EQ(Fleet.stats().InlineFallbacks, 0);
+  EXPECT_GE(Report.Shards, 1);
+  long Expanded = 0;
+  for (long N : Report.PerWorkerExpanded)
+    Expanded += N;
+  EXPECT_EQ(Expanded, R.Stats.NodesExpanded);
+  // Every committed expansion is traced, plus any aborted one.
+  EXPECT_GE(Events, R.Stats.NodesExpanded);
 }
 
 } // namespace

@@ -245,18 +245,25 @@ TEST(VerificationServiceTest, PriorityOrdersQueuedJobs) {
   NetworkId Net = Service.registry().add(makeExample23Network());
 
   // Gate the worker so every prioritized job is queued before any runs,
-  // then record execution order through each job's poll hook.
+  // then record execution order through each job's poll hook. The blocker
+  // has priority 0 too, so the prioritized jobs are submitted only once it
+  // is running: queued beside them, it could lose the single worker to a
+  // higher-priority job and the order would start with that one instead.
+  std::atomic<bool> Started{false};
   std::atomic<bool> Release{false};
   JobRequest Blocker;
   Blocker.Net = Net;
   Blocker.Prop = example23Property();
   Blocker.Config.TimeLimitSeconds = 30.0;
-  Blocker.Config.CancelRequested = [&Release] {
+  Blocker.Config.CancelRequested = [&Started, &Release] {
+    Started.store(true);
     while (!Release.load())
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     return false;
   };
   JobHandle Head = Service.submit(Blocker);
+  while (!Started.load())
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
   std::mutex OrderMutex;
   std::vector<int> Order;
