@@ -401,12 +401,31 @@ std::vector<CexSearchCase> charon::bench::defaultCexSearchCases() {
   Add("pgd_w64_multistart", 64);
   Add("pgd_w128_multistart", 128);
   Add("pgd_w256_multistart", 256);
+  Add("pgd_lenet10_multistart", 10);
+  Cases.back().LeNet = true;
+  Cases.back().HiddenLayers = 0;
   return Cases;
 }
 
 CexSearchResult charon::bench::runCexSearchCase(const CexSearchCase &Case,
                                                 int Repeats) {
-  MicroFixture F(Case.Width, Case.HiddenLayers);
+  // The micro-domain MLP fixture, or a LeNet searched over the same kind
+  // of seeded L-inf ball.
+  Network Net;
+  Box Region;
+  if (Case.LeNet) {
+    Rng R(17);
+    const int Side = static_cast<int>(Case.Width);
+    Net = makeLeNet(TensorShape{1, Side, Side}, 10, R);
+    Vector Center(Net.inputSize());
+    for (size_t I = 0; I < Center.size(); ++I)
+      Center[I] = R.uniform(0.3, 0.7);
+    Region = Box::linfBall(Center, 0.05, 0.0, 1.0);
+  } else {
+    MicroFixture F(Case.Width, Case.HiddenLayers);
+    Net = std::move(F.Net);
+    Region = std::move(F.Region);
+  }
   CexSearchResult Result;
   Result.Case = Case;
   Result.Repeats = std::max(1, Repeats);
@@ -423,7 +442,7 @@ CexSearchResult charon::bench::runCexSearchCase(const CexSearchCase &Case,
   auto Run = [&](PgdEngine Engine) {
     Config.Engine = Engine;
     Rng R(23);
-    return pgdMinimize(F.Net, F.Region, 0, Config, R);
+    return pgdMinimize(Net, Region, 0, Config, R);
   };
 
   // One untimed pass per engine warms caches and pins the equivalence

@@ -186,13 +186,17 @@ bool writeMicroDomainJsonFile(const std::string &Path,
 
 /// One tracked counterexample-search case. "pgd_micro" cases time one
 /// multi-restart pgdMinimize call per engine on a seeded random MLP (the
-/// same fixture family as the micro-domain cases); "falsification_e2e"
-/// entries come from bench_rq2_falsification and time whole Charon runs.
+/// same fixture family as the micro-domain cases) or a seeded LeNet;
+/// "falsification_e2e" entries come from bench_rq2_falsification and time
+/// whole Charon runs.
 struct CexSearchCase {
   std::string Name;               ///< stable id, e.g. "pgd_w256_multistart"
   std::string Kind = "pgd_micro"; ///< "pgd_micro" or "falsification_e2e"
-  size_t Width = 64;              ///< input and hidden width of the MLP
-  int HiddenLayers = 3;
+  /// MLP: input and hidden width. LeNet: side of the square one-channel
+  /// input image (10 is the mnist_conv shape).
+  size_t Width = 64;
+  int HiddenLayers = 3; ///< MLP only; 0 for LeNet cases
+  bool LeNet = false;   ///< makeLeNet instead of makeMlp
   int Restarts = 8;
   int Steps = 25;
 };
@@ -213,7 +217,8 @@ struct CexSearchResult {
   long FalsifiedBatched = -1;
 };
 
-/// The tracked case set: multi-restart PGD at widths 64/128/256.
+/// The tracked case set: multi-restart PGD on MLPs of widths 64/128/256
+/// and on a LeNet over a 10 x 10 image.
 std::vector<CexSearchCase> defaultCexSearchCases();
 
 /// Runs one micro case: times \p Repeats searches per engine (keeping the

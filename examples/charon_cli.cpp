@@ -14,7 +14,8 @@
 //
 // Options:
 //   --tool charon|ai2-zonotope|ai2-bounded64|reluval|reluplex   (default charon)
-//   --budget <seconds>      per-property time limit (default 10)
+//   --budget <seconds>      per-property time limit (default 10; for charon,
+//                           <= 0 means unlimited)
 //   --delta <d>             Eq. 4 threshold (default 1e-6, charon only)
 //   --policy <file>         learned policy (default: built-in policy)
 //   --fgsm                  use FGSM instead of PGD (charon only)

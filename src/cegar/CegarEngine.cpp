@@ -47,13 +47,10 @@ CegarEngine::CegarEngine(const Network &N, const VerificationPolicy &P,
 VerifyResult CegarEngine::run(const RobustnessProperty &Prop,
                               ThreadPool *Pool) const {
   Stopwatch Watch;
-  Deadline Budget(Config.TimeLimitSeconds);
-  auto RemainingBudget = [&]() {
-    if (Config.TimeLimitSeconds < 0.0)
-      return -1.0;
-    double R = Budget.remaining();
-    return R > 0.0 ? R : 0.0;
-  };
+  // TimeLimitSeconds <= 0 is unlimited, which is also what a 0 handed to an
+  // inner search means: an exhausted budget ends the run as Timeout instead.
+  const bool Limited = Config.TimeLimitSeconds > 0.0;
+  Deadline Budget(Limited ? Config.TimeLimitSeconds : -1.0);
 
   VerifyStats Acc;
   long OriginalNeurons = hiddenNeurons(Net);
@@ -77,10 +74,19 @@ VerifyResult CegarEngine::run(const RobustnessProperty &Prop,
     R.Stats.Seconds = Watch.seconds();
     return R;
   };
+  auto TimedOut = [&]() {
+    VerifyResult R;
+    R.Result = Outcome::Timeout;
+    R.Stats = Acc;
+    return Finish(std::move(R));
+  };
 
   auto RunDirect = [&]() {
     ++Acc.CegarFallbacks;
-    Direct.TimeLimitSeconds = RemainingBudget();
+    double Remaining = Budget.remaining();
+    if (Remaining == 0.0)
+      return TimedOut();
+    Direct.TimeLimitSeconds = Limited ? Remaining : -1.0;
     VerifyResult R = SearchEngine(Net, Policy, Direct).run(Prop, nullptr,
                                                            Pool);
     VerifyStats Inner = R.Stats;
@@ -104,12 +110,8 @@ VerifyResult CegarEngine::run(const RobustnessProperty &Prop,
 
   for (int Round = 0; Round < Config.Cegar.MaxRounds; ++Round) {
     if (Budget.expired() ||
-        (Config.CancelRequested && Config.CancelRequested())) {
-      VerifyResult R;
-      R.Result = Outcome::Timeout;
-      R.Stats = Acc;
-      return Finish(std::move(R));
-    }
+        (Config.CancelRequested && Config.CancelRequested()))
+      return TimedOut();
 
     Stopwatch RoundWatch;
     Network AbsNet =
@@ -122,8 +124,10 @@ VerifyResult CegarEngine::run(const RobustnessProperty &Prop,
     // search cannot decide quickly is not helping, and the direct fallback
     // must always inherit a real share of the budget rather than a
     // burned-out clock. Unlimited budgets pass through unchanged.
-    double Remaining = RemainingBudget();
-    Abstract.TimeLimitSeconds = Remaining < 0.0 ? -1.0 : Remaining * 0.5;
+    double Remaining = Budget.remaining();
+    if (Remaining == 0.0)
+      return TimedOut();
+    Abstract.TimeLimitSeconds = Limited ? Remaining * 0.5 : -1.0;
     VerifyResult R =
         SearchEngine(AbsNet, Policy, Abstract).run(AbsProp, nullptr, Pool);
     Acc += R.Stats;

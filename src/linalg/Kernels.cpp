@@ -3,8 +3,7 @@
 // Public kernels shard work with parallelFor and forward each shard to the
 // active SIMD backend (SimdOpsImpl.h). The scalar bodies below are the
 // historical accumulation contracts — they define bit-exactness for every
-// layout/equivalence test and remain the only implementation of kernels
-// whose order is part of a cross-path contract (affineBatch PreInit).
+// layout/equivalence test.
 //
 //===----------------------------------------------------------------------===//
 
@@ -106,6 +105,13 @@ void saxpyScalar(double *Y, const double *X, double A, size_t N) {
     Y[I] += A * X[I];
 }
 
+/// The scalar tap saxpy: saxpyScalar's per-element update, scattered.
+void tapSaxpyScalar(double *Y, const double *W, const kernels::Tap *Taps,
+                    size_t N, double A) {
+  for (size_t I = 0; I < N; ++I)
+    Y[Taps[I].In] += A * W[Taps[I].K];
+}
+
 /// Row block [Begin, End) of C(RowOffset + i, j) = dot(A.row(i), B.row(j)).
 /// The j-loop is unrolled by four with independent accumulators: four rows of
 /// B stream against one resident row of A, and each dot still accumulates in
@@ -143,15 +149,12 @@ void mmtRowsScalar(const Matrix &A, const Matrix &B, Matrix &C,
 
 /// Row block [Begin, End) of Out(i, j) = dot(X.row(i), W.row(j)) + b_j.
 /// Same structure as mmtRowsScalar (resident X row, 4-wide j-unroll,
-/// ascending-k accumulation); the bias either seeds the accumulators
-/// (PreInit, the Conv2D order) or lands after the full dot (PostAdd, the
-/// Dense order).
+/// ascending-k accumulation); the bias lands after the full dot (the Dense
+/// order).
 void affineRowsScalar(const Matrix &X, const Matrix &W, const double *Bias,
-                      kernels::BiasMode Mode, Matrix &Out, size_t Begin,
-                      size_t End) {
+                      Matrix &Out, size_t Begin, size_t End) {
   const size_t K = X.cols();
   const size_t N = W.rows();
-  const bool Pre = Mode == kernels::BiasMode::PreInit;
   for (size_t I = Begin; I < End; ++I) {
     const double *XRow = X.row(I);
     double *ORow = Out.row(I);
@@ -161,10 +164,7 @@ void affineRowsScalar(const Matrix &X, const Matrix &W, const double *Bias,
       const double *W1 = W.row(J + 1);
       const double *W2 = W.row(J + 2);
       const double *W3 = W.row(J + 3);
-      double S0 = Pre ? Bias[J] : 0.0;
-      double S1 = Pre ? Bias[J + 1] : 0.0;
-      double S2 = Pre ? Bias[J + 2] : 0.0;
-      double S3 = Pre ? Bias[J + 3] : 0.0;
+      double S0 = 0.0, S1 = 0.0, S2 = 0.0, S3 = 0.0;
       for (size_t Kk = 0; Kk < K; ++Kk) {
         double Xv = XRow[Kk];
         S0 += Xv * W0[Kk];
@@ -172,18 +172,13 @@ void affineRowsScalar(const Matrix &X, const Matrix &W, const double *Bias,
         S2 += Xv * W2[Kk];
         S3 += Xv * W3[Kk];
       }
-      ORow[J] = Pre ? S0 : S0 + Bias[J];
-      ORow[J + 1] = Pre ? S1 : S1 + Bias[J + 1];
-      ORow[J + 2] = Pre ? S2 : S2 + Bias[J + 2];
-      ORow[J + 3] = Pre ? S3 : S3 + Bias[J + 3];
+      ORow[J] = S0 + Bias[J];
+      ORow[J + 1] = S1 + Bias[J + 1];
+      ORow[J + 2] = S2 + Bias[J + 2];
+      ORow[J + 3] = S3 + Bias[J + 3];
     }
-    for (; J < N; ++J) {
-      const double *WRow = W.row(J);
-      double Sum = Pre ? Bias[J] : 0.0;
-      for (size_t Kk = 0; Kk < K; ++Kk)
-        Sum += XRow[Kk] * WRow[Kk];
-      ORow[J] = Pre ? Sum : Sum + Bias[J];
-    }
+    for (; J < N; ++J)
+      ORow[J] = dotScalar(XRow, W.row(J), K) + Bias[J];
   }
 }
 
@@ -277,6 +272,7 @@ const kernels::detail::SimdOps ScalarTable = {
     absColumnSumsColsScalar,
     dotScalar,
     saxpyScalar,
+    tapSaxpyScalar,
     kernels::detail::mmtRowsFScalar,
     kernels::detail::scaleColumnsRowsFScalar,
     kernels::detail::absColumnSumsColsFScalar,
@@ -339,19 +335,15 @@ void kernels::scaleColumns(Matrix &A, const Vector &Scale) {
 }
 
 Matrix kernels::affineBatch(const Matrix &X, const Matrix &W,
-                            const Vector &Bias, BiasMode Mode) {
+                            const Vector &Bias) {
   assert(X.cols() == W.cols() && "affineBatch shape mismatch");
   assert(Bias.size() == W.rows() && "affineBatch bias size mismatch");
   Matrix Out(X.rows(), W.rows());
   const double *B = Bias.data();
-  // PreInit is the Conv2D accumulation order, whose bit-identity with the
-  // scalar per-point tap loop is a layer contract — it always runs the
-  // scalar bodies regardless of the selected SIMD level.
-  const detail::SimdOps &Ops =
-      Mode == BiasMode::PreInit ? detail::scalarOps() : detail::activeOps();
+  const detail::SimdOps &Ops = detail::activeOps();
   parallelFor(X.rows(), 2 * X.cols() * W.rows(),
-              [&X, &W, B, Mode, &Out, &Ops](size_t Begin, size_t End) {
-                Ops.AffineRows(X, W, B, Mode, Out, Begin, End);
+              [&X, &W, B, &Out, &Ops](size_t Begin, size_t End) {
+                Ops.AffineRows(X, W, B, Out, Begin, End);
               });
   return Out;
 }
@@ -493,8 +485,9 @@ Vector charon::matVec(const Matrix &A, const Vector &X) {
   return Y;
 }
 
-void kernels::axpy(double *Y, const double *X, double A, size_t N) {
-  detail::activeOps().Saxpy(Y, X, A, N);
+void kernels::tapAxpy(double *Y, const double *W, const Tap *Taps, size_t N,
+                      double A) {
+  detail::activeOps().TapSaxpy(Y, W, Taps, N, A);
 }
 
 Vector charon::matTVec(const Matrix &A, const Vector &X) {

@@ -33,6 +33,7 @@
 #include "linalg/Matrix.h"
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -93,11 +94,19 @@ void scaleColumns(Matrix &A, const Vector &Scale);
 void gatherColumns(const Matrix &A, const std::vector<int> &SrcCol,
                    Matrix &Out);
 
-/// Y[i] += A * X[i] through the active dispatch table's saxpy — the same
-/// elementwise accumulation matTVec and matMul are built from. Per-point
-/// code (e.g. Conv2D's scalar backward) uses this so its accumulation stays
-/// bit-identical to the batched matMul path at every SIMD level.
-void axpy(double *Y, const double *X, double A, size_t N);
+/// One term of a sparse row: the weight W[K] times coordinate In.
+struct Tap {
+  uint32_t In;
+  uint32_t K;
+};
+
+/// Y[T.In] += A * W[T.K] for each of the \p N taps in order, with the active
+/// dispatch table's saxpy rounding (one fma per term at AVX2). A tap list
+/// holding a dense row's in-window entries therefore gives the bits a saxpy
+/// over the whole zero-filled row would (x + A * 0 leaves x unchanged), so
+/// Conv2D's backward passes visit only real taps and still match the matMul
+/// path Dense uses.
+void tapAxpy(double *Y, const double *W, const Tap *Taps, size_t N, double A);
 
 //===----------------------------------------------------------------------===//
 // Sparse one-hot tail kernels
@@ -129,23 +138,12 @@ void oneHotRowSumsInto(const std::vector<OneHot> &Sparse, Vector &Out,
 // Batched concrete execution (rows = batch points)
 //===----------------------------------------------------------------------===//
 
-/// Where the bias enters the per-element accumulation of affineBatch. The
-/// two concrete layer flavors sum in different orders, and bit-identity with
-/// the per-point pass requires matching each one exactly:
-///  - PostAdd: Dense computes the full dot product first, then adds the bias
-///    in a separate pass (matVec then Y += B).
-///  - PreInit: Conv2D seeds the accumulator with the bias and then adds the
-///    window taps (Sum = B[oc]; Sum += ...).
-enum class BiasMode { PostAdd, PreInit };
-
-/// Batched affine layer application: Out(i, j) = dot(X.row(i), W.row(j)) + b_j
-/// with the bias folded in per \p Mode. X is B x K (one input point per row),
-/// W is N x K, Out is B x N. Each dot accumulates in ascending-k order with
-/// the same 4-wide output unroll as matMulTransposed, so every output element
-/// is bit-identical to the per-point matVec (up to signed-zero terms that a
-/// sparsity-skipping scalar path never adds). Sharded by batch rows.
-Matrix affineBatch(const Matrix &X, const Matrix &W, const Vector &Bias,
-                   BiasMode Mode);
+/// Batched affine layer application: Out(i, j) = dot(X.row(i), W.row(j)) + b_j,
+/// the bias added after the full dot exactly as Dense::forward does (matVec
+/// then Y += B). X is B x K (one input point per row), W is N x K, Out is
+/// B x N. Each dot uses the active backend's matVec scheme, so every output
+/// element is bit-identical to the per-point pass. Sharded by batch rows.
+Matrix affineBatch(const Matrix &X, const Matrix &W, const Vector &Bias);
 
 /// Batched ReLU forward: Out(i, j) = X(i, j) > 0 ? X(i, j) : 0, replicating
 /// the scalar tie-break at exactly zero.

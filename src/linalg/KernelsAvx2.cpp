@@ -101,6 +101,13 @@ void saxpyAvx2(double *Y, const double *X, double A, size_t N) {
     Y[I] = std::fma(A, X[I], Y[I]);
 }
 
+/// saxpyAvx2's per-element fma at scattered positions.
+void tapSaxpyAvx2(double *Y, const double *W, const Tap *Taps, size_t N,
+                  double A) {
+  for (size_t I = 0; I < N; ++I)
+    Y[Taps[I].In] = std::fma(A, W[Taps[I].K], Y[Taps[I].In]);
+}
+
 /// Packs eight B rows (j .. j+W-1, zero-filled past W) into an interleaved
 /// K x 8 panel: P[k*8 + r] = B(j + r, k). The panel is contiguous, so the
 /// microkernel's inner loop touches one dense 16 KB stream instead of eight
@@ -281,12 +288,10 @@ void mmtRowsAvx2(const Matrix &A, const Matrix &B, Matrix &C, size_t RowOffset,
     _mm_sfence();
 }
 
-/// PostAdd affine rows: every output element is dotAvx2 + bias, so the
-/// batched path matches the per-point matVec at this level bit-for-bit.
-/// (PreInit never reaches this body — the dispatcher routes it to scalar.)
+/// Affine rows: every output element is dotAvx2 + bias, so the batched
+/// path matches the per-point matVec at this level bit-for-bit.
 void affineRowsAvx2(const Matrix &X, const Matrix &W, const double *Bias,
-                    BiasMode Mode, Matrix &Out, size_t Begin, size_t End) {
-  (void)Mode;
+                    Matrix &Out, size_t Begin, size_t End) {
   const size_t K = X.cols();
   const size_t N = W.rows();
   for (size_t I = Begin; I < End; ++I) {
@@ -517,6 +522,7 @@ const detail::SimdOps Avx2Table = {
     absColumnSumsColsAvx2,
     dotAvx2,
     saxpyAvx2,
+    tapSaxpyAvx2,
     mmtRowsFAvx2,
     // The remaining float bodies are memory-bound scalar-per-element code;
     // the shared scalar shard bodies are already optimal for them.

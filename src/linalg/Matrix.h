@@ -95,9 +95,9 @@ private:
 };
 
 /// y = A * x. Requires A.cols() == x.size(). Each row is one dot product in
-/// the active SIMD backend's scheme — the same scheme affineBatch(PostAdd)
-/// uses, so per-point and batched forward passes agree bit-for-bit at any
-/// dispatch level (see linalg/SimdDispatch.h).
+/// the active SIMD backend's scheme — the same scheme affineBatch uses, so
+/// per-point and batched forward passes agree bit-for-bit at any dispatch
+/// level (see linalg/SimdDispatch.h).
 Vector matVec(const Matrix &A, const Vector &X);
 
 /// y = A^T * x (without materializing the transpose). Row-major saxpy

@@ -20,12 +20,9 @@
 ///    and saxpy-style products (matTVec, matMul) change their accumulation
 ///    grouping under AVX2/FMA, so results are bit-identical only *within* a
 ///    level. Within a level the pair contracts still hold exactly: one dot
-///    scheme is shared by matVec / affineBatch(PostAdd) / matMulTransposed
-///    and one saxpy scheme by matTVec / matMul, so the per-point and batched
-///    execution paths agree bit-for-bit at any level.
-///  - affineBatch with BiasMode::PreInit (the Conv2D order) always runs the
-///    scalar bodies: the per-point Conv2D tap loop is scalar, and its
-///    bit-identity with the batched path is part of the layer contract.
+///    scheme is shared by matVec / affineBatch / matMulTransposed and one
+///    saxpy scheme by matTVec / matMul / tapAxpy, so the per-point and
+///    batched execution paths agree bit-for-bit at any level.
 ///
 /// The level is process-global: CHARON_SIMD=auto|avx2|scalar initializes it
 /// (auto picks the best available backend), setSimdLevel() overrides it at

@@ -16,15 +16,14 @@
 ///
 /// Contract notes for backend authors (see SimdDispatch.h for the
 /// user-facing statement):
-///  - Dot is shared by matVec, affineBatch(PostAdd) and any backend body
-///    that wants matVec-identical dots, so the per-point and batched
-///    concrete paths agree bit-for-bit within the level. AffineRows with
-///    BiasMode::PreInit is never dispatched here — the caller routes it to
-///    the scalar table (Conv2D per-point bit-identity).
+///  - Dot is shared by matVec, affineBatch and any backend body that wants
+///    matVec-identical dots, so the per-point and batched concrete paths
+///    agree bit-for-bit within the level.
 ///  - Saxpy is shared by matTVec and matMul. It must be elementwise
 ///    position-independent (each Y[i] receives exactly one rounding per
 ///    call regardless of where the vector/tail boundary falls), because
 ///    matMul invokes it per column panel while matTVec spans whole rows.
+///    TapSaxpy applies the same per-element update at scattered positions.
 ///  - AbsColumnSumsCols must accumulate each column in ascending-row order
 ///    so results stay bit-identical across levels and shard layouts.
 ///  - ScaleColumnsRows, ReluRows and ReluBackwardRows perform one IEEE
@@ -56,11 +55,9 @@ struct SimdOps {
   void (*MmtRows)(const Matrix &A, const Matrix &B, Matrix &C,
                   size_t RowOffset, size_t Begin, size_t End);
 
-  /// Rows [Begin, End): Out(i, j) = dot(X.row(i), W.row(j)) + Bias[j],
-  /// PostAdd order only (PreInit is routed to the scalar table by the
-  /// caller).
+  /// Rows [Begin, End): Out(i, j) = dot(X.row(i), W.row(j)) + Bias[j].
   void (*AffineRows)(const Matrix &X, const Matrix &W, const double *Bias,
-                     BiasMode Mode, Matrix &Out, size_t Begin, size_t End);
+                     Matrix &Out, size_t Begin, size_t End);
 
   /// Rows [Begin, End) of C += A * B in i-k-j order (C pre-zeroed), built
   /// on Saxpy semantics with the Aik == 0.0 skip.
@@ -92,6 +89,11 @@ struct SimdOps {
 
   /// Y[i] += A * X[i] over N entries — the matTVec/matMul update.
   void (*Saxpy)(double *Y, const double *X, double A, size_t N);
+
+  /// Y[T.In] += A * W[T.K] for each of N taps in order — Saxpy's rounding
+  /// per element, at scattered positions.
+  void (*TapSaxpy)(double *Y, const double *W, const Tap *Taps, size_t N,
+                   double A);
 
   /// Float32 generator-matrix product (float accumulators), same shape
   /// contract as MmtRows.

@@ -38,14 +38,13 @@ void Conv2DLayer::initHe(Rng &R) {
   Lowered.reset();
 }
 
-Vector Conv2DLayer::forward(const Vector &Input) const {
-  assert(Input.size() == static_cast<size_t>(InShape.size()) &&
-         "conv input size mismatch");
-  Vector Out(OutShape.size());
-  for (int Oc = 0; Oc < OutShape.Channels; ++Oc) {
+const Conv2DLayer::TapList &Conv2DLayer::taps() const {
+  // Lazy and thread-safe: concurrent searches share one layer.
+  std::call_once(TapsOnce, [this] {
+    TapCache.Begin.reserve(positions() + 1);
+    TapCache.Begin.push_back(0);
     for (int Oy = 0; Oy < OutShape.Height; ++Oy) {
       for (int Ox = 0; Ox < OutShape.Width; ++Ox) {
-        double Sum = B[Oc];
         for (int Ic = 0; Ic < InShape.Channels; ++Ic) {
           for (int Ky = 0; Ky < KH; ++Ky) {
             int Iy = Oy * S + Ky - P;
@@ -55,14 +54,63 @@ Vector Conv2DLayer::forward(const Vector &Input) const {
               int Ix = Ox * S + Kx - P;
               if (Ix < 0 || Ix >= InShape.Width)
                 continue;
-              Sum += kernelAt(Oc, Ic, Ky, Kx) * Input[InShape.index(Ic, Iy, Ix)];
+              TapCache.Taps.push_back(
+                  {static_cast<uint32_t>(InShape.index(Ic, Iy, Ix)),
+                   static_cast<uint32_t>(kernelIndex(0, Ic, Ky, Kx))});
             }
           }
         }
-        Out[OutShape.index(Oc, Oy, Ox)] = Sum;
+        TapCache.Begin.push_back(TapCache.Taps.size());
       }
     }
+  });
+  return TapCache;
+}
+
+void Conv2DLayer::forwardRow(const double *In, double *Out) const {
+  const TapList &T = taps();
+  for (int Oc = 0; Oc < OutShape.Channels; ++Oc) {
+    const double *Filter = Kernels.data() + Oc * filterSize();
+    for (size_t Pos = 0, E = positions(); Pos < E; ++Pos) {
+      double Sum = B[Oc];
+      for (size_t I = T.Begin[Pos], IE = T.Begin[Pos + 1]; I < IE; ++I)
+        Sum += Filter[T.Taps[I].K] * In[T.Taps[I].In];
+      *Out++ = Sum;
+    }
   }
+}
+
+void Conv2DLayer::backwardRow(const double *GradOut, double *GradIn,
+                              const double *Input, double *GradK,
+                              double *GradBias) const {
+  // GradIn accumulates through the dispatched tapAxpy, whose rounding is
+  // the saxpy's that matMul over the zero-filled lowered rows would apply,
+  // so this pass keeps the bits of the dense backward at every SIMD level.
+  const TapList &T = taps();
+  for (int Oc = 0; Oc < OutShape.Channels; ++Oc) {
+    const double *Filter = Kernels.data() + Oc * filterSize();
+    for (size_t Pos = 0, E = positions(); Pos < E; ++Pos) {
+      double G = *GradOut++;
+      if (G == 0.0)
+        continue;
+      const kernels::Tap *Row = T.Taps.data() + T.Begin[Pos];
+      const size_t N = T.Begin[Pos + 1] - T.Begin[Pos];
+      kernels::tapAxpy(GradIn, Filter, Row, N, G);
+      if (!Input)
+        continue;
+      GradBias[Oc] += G;
+      double *FilterGrad = GradK + Oc * filterSize();
+      for (size_t I = 0; I < N; ++I)
+        FilterGrad[Row[I].K] += G * Input[Row[I].In];
+    }
+  }
+}
+
+Vector Conv2DLayer::forward(const Vector &Input) const {
+  assert(Input.size() == static_cast<size_t>(InShape.size()) &&
+         "conv input size mismatch");
+  Vector Out(OutShape.size());
+  forwardRow(Input.data(), Out.data());
   return Out;
 }
 
@@ -70,69 +118,38 @@ Vector Conv2DLayer::backward(const Vector &Input, const Vector &GradOut,
                              bool AccumulateParams) {
   assert(GradOut.size() == static_cast<size_t>(OutShape.size()) &&
          "conv gradient size mismatch");
-  // GradIn accumulates through the same dispatched saxpy the batched
-  // matMul path is built from (the lowered row's zero-filled out-of-window
-  // columns contribute identity terms), so per-point and batched gradients
-  // stay bit-identical at every SIMD level. Parameter gradients keep the
-  // tap loop: they index the kernel tensor, not the input row.
-  if (!Lowered)
-    buildLowered();
   Vector GradIn(InShape.size());
-  for (int Oc = 0; Oc < OutShape.Channels; ++Oc) {
-    for (int Oy = 0; Oy < OutShape.Height; ++Oy) {
-      for (int Ox = 0; Ox < OutShape.Width; ++Ox) {
-        size_t Row = OutShape.index(Oc, Oy, Ox);
-        double G = GradOut[Row];
-        if (G == 0.0)
-          continue;
-        if (AccumulateParams)
-          GradB[Oc] += G;
-        kernels::axpy(GradIn.data(), Lowered->W.row(Row), G, GradIn.size());
-        if (!AccumulateParams)
-          continue;
-        for (int Ic = 0; Ic < InShape.Channels; ++Ic) {
-          for (int Ky = 0; Ky < KH; ++Ky) {
-            int Iy = Oy * S + Ky - P;
-            if (Iy < 0 || Iy >= InShape.Height)
-              continue;
-            for (int Kx = 0; Kx < KW; ++Kx) {
-              int Ix = Ox * S + Kx - P;
-              if (Ix < 0 || Ix >= InShape.Width)
-                continue;
-              int In = InShape.index(Ic, Iy, Ix);
-              GradKernels[kernelIndex(Oc, Ic, Ky, Kx)] += G * Input[In];
-            }
-          }
-        }
-      }
-    }
-  }
+  if (AccumulateParams)
+    backwardRow(GradOut.data(), GradIn.data(), Input.data(),
+                GradKernels.data(), GradB.data());
+  else
+    backwardRow(GradOut.data(), GradIn.data());
   return GradIn;
 }
 
 Matrix Conv2DLayer::forwardBatch(const Matrix &X) const {
   assert(X.cols() == static_cast<size_t>(InShape.size()) &&
          "conv batched input size mismatch");
-  // The lowered dense form lists each window's taps in the same ascending
-  // input-index order the nested tap loops visit, and the out-of-window
-  // columns it zero-fills contribute identity +0.0 terms, so PreInit
-  // accumulation (bias first, taps ascending) reproduces forward() bit for
-  // bit.
-  if (!Lowered)
-    buildLowered();
-  return kernels::affineBatch(X, Lowered->W, Lowered->Bias,
-                              kernels::BiasMode::PreInit);
+  // Rows run the per-point body, so batched and per-point agree bit for bit.
+  Matrix Out = Matrix::uninit(X.rows(), OutShape.size());
+  kernels::parallelFor(X.rows(), 2 * OutShape.Channels * taps().Taps.size(),
+                       [&](size_t Begin, size_t End) {
+                         for (size_t I = Begin; I < End; ++I)
+                           forwardRow(X.row(I), Out.row(I));
+                       });
+  return Out;
 }
 
 Matrix Conv2DLayer::backwardBatch(const Matrix &X, const Matrix &GradOut) const {
   assert(GradOut.cols() == static_cast<size_t>(OutShape.size()) &&
          X.rows() == GradOut.rows() && "conv batched gradient size mismatch");
-  // matMul accumulates GradIn(i, in) ascending over output coordinates and
-  // skips zero output gradients — exactly the scalar backward()'s (Oc,Oy,Ox)
-  // visit order with its G == 0 skip.
-  if (!Lowered)
-    buildLowered();
-  return matMul(GradOut, Lowered->W);
+  Matrix GradIn(X.rows(), InShape.size());
+  kernels::parallelFor(X.rows(), 2 * OutShape.Channels * taps().Taps.size(),
+                       [&](size_t Begin, size_t End) {
+                         for (size_t I = Begin; I < End; ++I)
+                           backwardRow(GradOut.row(I), GradIn.row(I));
+                       });
+  return GradIn;
 }
 
 void Conv2DLayer::applyGradients(double LearningRate, double BatchSize) {
@@ -154,30 +171,18 @@ void Conv2DLayer::buildLowered() const {
   Form->W = Matrix(OutShape.size(), InShape.size());
   Form->Bias = Vector(OutShape.size());
   // Each output coordinate owns exactly one W row, so the scatter shards
-  // cleanly across rows. Row index decomposes as ((Oc*H)+Oy)*W+Ox.
-  size_t RowCost = static_cast<size_t>(InShape.Channels) * KH * KW;
+  // cleanly across rows.
+  const TapList &T = taps();
+  const size_t Positions = positions();
   kernels::parallelFor(
-      static_cast<size_t>(OutShape.size()), RowCost,
-      [&](size_t Begin, size_t End) {
+      Form->W.rows(), filterSize(), [&](size_t Begin, size_t End) {
         for (size_t Row = Begin; Row < End; ++Row) {
-          int Ox = static_cast<int>(Row) % OutShape.Width;
-          int Oy = (static_cast<int>(Row) / OutShape.Width) % OutShape.Height;
-          int Oc = static_cast<int>(Row) / (OutShape.Width * OutShape.Height);
+          const size_t Oc = Row / Positions, Pos = Row % Positions;
+          const double *Filter = Kernels.data() + Oc * filterSize();
           Form->Bias[Row] = B[Oc];
-          for (int Ic = 0; Ic < InShape.Channels; ++Ic) {
-            for (int Ky = 0; Ky < KH; ++Ky) {
-              int Iy = Oy * S + Ky - P;
-              if (Iy < 0 || Iy >= InShape.Height)
-                continue;
-              for (int Kx = 0; Kx < KW; ++Kx) {
-                int Ix = Ox * S + Kx - P;
-                if (Ix < 0 || Ix >= InShape.Width)
-                  continue;
-                Form->W(Row, InShape.index(Ic, Iy, Ix)) =
-                    Kernels[kernelIndex(Oc, Ic, Ky, Kx)];
-              }
-            }
-          }
+          double *WRow = Form->W.row(Row);
+          for (size_t I = T.Begin[Pos], IE = T.Begin[Pos + 1]; I < IE; ++I)
+            WRow[T.Taps[I].In] = Filter[T.Taps[I].K];
         }
       });
   Lowered = std::move(Form);

@@ -10,14 +10,20 @@
 /// convolutional layers as affine transformations for analysis purposes;
 /// \c affineForm() returns the lowered dense matrix (cached between weight
 /// updates) so the abstract transformers see the exact same map the concrete
-/// forward pass computes.
+/// forward pass computes. Concrete execution never touches that matrix: it
+/// walks a tap list (each output position's in-window (input, weight)
+/// pairs, shared by the output channels), so a pass costs one multiply-add
+/// per real tap instead of one per lowered entry.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CHARON_NN_CONV2D_H
 #define CHARON_NN_CONV2D_H
 
+#include "linalg/Kernels.h"
 #include "nn/Layer.h"
+
+#include <mutex>
 
 namespace charon {
 class Rng;
@@ -88,6 +94,33 @@ private:
 
   void buildLowered() const;
 
+  /// Per-position tap lists in CSR form: the taps of output position
+  /// p = Oy * OutW + Ox are Taps[Begin[p], Begin[p + 1]), ascending in
+  /// input index (the order of the Ic/Ky/Kx window loops), each with its
+  /// weight's index inside one filter. Every output channel shares them
+  /// with its own filter. Built from the window geometry alone —
+  /// exactly-zero weights keep their taps — so it never needs a rebuild.
+  struct TapList {
+    std::vector<size_t> Begin;
+    std::vector<kernels::Tap> Taps;
+  };
+  const TapList &taps() const;
+  size_t filterSize() const {
+    return static_cast<size_t>(InShape.Channels) * KH * KW;
+  }
+  size_t positions() const {
+    return static_cast<size_t>(OutShape.Height) * OutShape.Width;
+  }
+
+  /// Out = bias + taps (ascending) for one point.
+  void forwardRow(const double *In, double *Out) const;
+  /// GradIn += GradOut . W for one point, outputs ascending, zero output
+  /// gradients skipped. With a non-null \p Input also accumulates the
+  /// parameter gradients into \p GradK and \p GradBias.
+  void backwardRow(const double *GradOut, double *GradIn,
+                   const double *Input = nullptr, double *GradK = nullptr,
+                   double *GradBias = nullptr) const;
+
   TensorShape InShape;
   TensorShape OutShape;
   int KH, KW, S, P;
@@ -103,6 +136,9 @@ private:
     Vector Bias;
   };
   mutable std::unique_ptr<LoweredForm> Lowered;
+
+  mutable std::once_flag TapsOnce;
+  mutable TapList TapCache;
 };
 
 } // namespace charon

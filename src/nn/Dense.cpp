@@ -51,8 +51,7 @@ Vector DenseLayer::backward(const Vector &Input, const Vector &GradOut,
 
 Matrix DenseLayer::forwardBatch(const Matrix &X) const {
   assert(X.cols() == W.cols() && "batched input size mismatch");
-  // PostAdd: forward() runs the full dot first and adds the bias after.
-  return kernels::affineBatch(X, W, B, kernels::BiasMode::PostAdd);
+  return kernels::affineBatch(X, W, B);
 }
 
 Matrix DenseLayer::backwardBatch(const Matrix &X, const Matrix &GradOut) const {

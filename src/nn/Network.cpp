@@ -94,8 +94,7 @@ Vector Network::objectiveGradient(const Vector &Input, size_t K) const {
   return inputGradient(Input, Seed);
 }
 
-Vector Network::objectiveBatch(const Matrix &X, size_t K) const {
-  Matrix Y = evaluateBatch(X);
+Vector charon::objectiveOfOutputs(const Matrix &Y, size_t K) {
   assert(K < Y.cols() && "target class out of range");
   Vector F(Y.rows());
   for (size_t I = 0, B = Y.rows(); I < B; ++I) {
@@ -109,8 +108,17 @@ Vector Network::objectiveBatch(const Matrix &X, size_t K) const {
   return F;
 }
 
+Vector Network::objectiveBatch(const Matrix &X, size_t K) const {
+  return objectiveOfOutputs(evaluateBatch(X), K);
+}
+
 Matrix Network::objectiveGradientBatch(const Matrix &X, size_t K) const {
-  std::vector<Matrix> Acts = evaluateBatchWithActivations(X);
+  return objectiveGradientBatch(evaluateBatchWithActivations(X), K);
+}
+
+Matrix Network::objectiveGradientBatch(const std::vector<Matrix> &Acts,
+                                       size_t K) const {
+  assert(Acts.size() == Layers.size() + 1 && "activation stack size mismatch");
   const Matrix &Y = Acts.back();
   assert(K < Y.cols() && "target class out of range");
   // Per-row seed for d/dx [ y_K - y_{j*} ], with j* resolved by the same

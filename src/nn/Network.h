@@ -23,6 +23,10 @@
 
 namespace charon {
 
+/// Robustness objective of each row of an output batch \p Y:
+/// Y(i, K) - max_{j != K} Y(i, j), the margin objectiveBatch returns.
+Vector objectiveOfOutputs(const Matrix &Y, size_t K);
+
 /// Sequential feed-forward network.
 class Network {
 public:
@@ -75,6 +79,13 @@ public:
   /// K) — one forward + one backward pass for the whole batch, with the
   /// competitor argmax resolved per row exactly as the scalar path does.
   Matrix objectiveGradientBatch(const Matrix &X, size_t K) const;
+
+  /// The backward sweep of objectiveGradientBatch alone, from the stack
+  /// \p Acts that evaluateBatchWithActivations returned for the batch: a
+  /// caller that already ran the forward pass (PGD scores a population,
+  /// then steps from the same points) does not run it again.
+  Matrix objectiveGradientBatch(const std::vector<Matrix> &Acts,
+                                size_t K) const;
 
   /// Deep copy.
   Network clone() const;

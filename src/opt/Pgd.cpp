@@ -34,34 +34,41 @@ Matrix gatherRows(const Matrix &X, const std::vector<int> &Rows) {
   return Out;
 }
 
-/// Batched engine: one fused forward (+ backward) pass per population.
+/// Batched engine: evaluate() runs one fused forward pass over the
+/// population and keeps its activations; gradient() runs only the backward
+/// sweep from them.
 struct BatchedEval {
   const Network &Net;
   size_t K;
+  std::vector<Matrix> Acts;
 
-  Vector objective(const Matrix &X) const { return Net.objectiveBatch(X, K); }
-  Matrix gradient(const Matrix &X) const {
-    return Net.objectiveGradientBatch(X, K);
+  Vector evaluate(const Matrix &X) {
+    Acts = Net.evaluateBatchWithActivations(X);
+    return objectiveOfOutputs(Acts.back(), K);
   }
+  Matrix gradient() const { return Net.objectiveGradientBatch(Acts, K); }
 };
 
 /// Reference engine: the same population semantics evaluated row by row
-/// through the scalar Network calls. The equivalence tests pin the batched
-/// engine against this oracle bit for bit.
+/// through the scalar Network calls (the gradient reruns the forward pass
+/// per row). The equivalence tests pin the batched engine against this
+/// oracle bit for bit.
 struct ScalarEval {
   const Network &Net;
   size_t K;
+  Matrix Last;
 
-  Vector objective(const Matrix &X) const {
+  Vector evaluate(const Matrix &X) {
+    Last = X;
     Vector F(X.rows());
     for (size_t I = 0, B = X.rows(); I < B; ++I)
       F[I] = Net.objective(rowToVector(X, I), K);
     return F;
   }
-  Matrix gradient(const Matrix &X) const {
-    Matrix G(X.rows(), X.cols());
-    for (size_t I = 0, B = X.rows(); I < B; ++I) {
-      Vector Row = Net.objectiveGradient(rowToVector(X, I), K);
+  Matrix gradient() const {
+    Matrix G(Last.rows(), Last.cols());
+    for (size_t I = 0, B = Last.rows(); I < B; ++I) {
+      Vector Row = Net.objectiveGradient(rowToVector(Last, I), K);
       std::copy(Row.data(), Row.data() + Row.size(), G.row(I));
     }
     return G;
@@ -70,9 +77,13 @@ struct ScalarEval {
 
 /// The lock-step population driver shared by both engines: the engines may
 /// only differ in how they evaluate a batch, never in the search semantics.
+/// Each step asks for the gradient of the population evaluated last, which
+/// is row for row the active set: the objective pass scores exactly the
+/// chains that moved, and only those stay active. So a step costs one
+/// forward and one backward pass.
 template <typename Eval>
 PgdResult pgdDrive(const Box &Region, const PgdConfig &Config, Rng &R,
-                   const Vector *WarmStart, const Eval &E) {
+                   const Vector *WarmStart, Eval &&E) {
   const size_t N = Region.dim();
   const int Chains = std::max(1, Config.Restarts);
 
@@ -105,7 +116,7 @@ PgdResult pgdDrive(const Box &Region, const PgdConfig &Config, Rng &R,
     return Best.Objective <= Config.EarlyStopObjective;
   };
 
-  if (Update(X, E.objective(X)))
+  if (Update(X, E.evaluate(X)))
     return Best;
 
   const Vector &Lo = Region.lower();
@@ -118,7 +129,7 @@ PgdResult pgdDrive(const Box &Region, const PgdConfig &Config, Rng &R,
   std::iota(Active.begin(), Active.end(), 0);
 
   for (int Step = 0; Step < Config.Steps && !Active.empty(); ++Step) {
-    Matrix G = E.gradient(gatherRows(X, Active));
+    Matrix G = E.gradient();
     // Signed steps scaled per dimension by the region width (the natural
     // metric for L-infinity style regions), with 1/sqrt(t) decay. Rows are
     // independent, so sharding the sweep cannot affect results.
@@ -154,7 +165,7 @@ PgdResult pgdDrive(const Box &Region, const PgdConfig &Config, Rng &R,
     if (Active.empty())
       break;
     Matrix Xa = gatherRows(X, Active);
-    if (Update(Xa, E.objective(Xa)))
+    if (Update(Xa, E.evaluate(Xa)))
       return Best;
   }
   return Best;
@@ -166,8 +177,8 @@ PgdResult charon::pgdMinimize(const Network &Net, const Box &Region, size_t K,
                               const PgdConfig &Config, Rng &R,
                               const Vector *WarmStart) {
   if (Config.Engine == PgdEngine::Scalar)
-    return pgdDrive(Region, Config, R, WarmStart, ScalarEval{Net, K});
-  return pgdDrive(Region, Config, R, WarmStart, BatchedEval{Net, K});
+    return pgdDrive(Region, Config, R, WarmStart, ScalarEval{Net, K, {}});
+  return pgdDrive(Region, Config, R, WarmStart, BatchedEval{Net, K, {}});
 }
 
 PgdResult charon::fgsmMinimize(const Network &Net, const Box &Region,

@@ -36,7 +36,10 @@ struct DfsLess {
 struct SearchEngine::SearchState {
   SearchState(const RobustnessProperty &P, const VerifierConfig &Config,
               const NodeExpander &E)
-      : Prop(P), Expand(E), Budget(Config.TimeLimitSeconds),
+      : Prop(P), Expand(E),
+        // TimeLimitSeconds <= 0 is unlimited; Deadline(0) would expire at
+        // once.
+        Budget(Config.TimeLimitSeconds > 0.0 ? Config.TimeLimitSeconds : -1.0),
         Tree(Config.Seed), Open(Config.SearchOrder, &Tree),
         OpenSet(DfsLess{&Tree}) {}
 

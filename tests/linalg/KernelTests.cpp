@@ -412,23 +412,45 @@ TEST(KernelTest, OneHotKernelsMatchDenseEquivalents) {
   });
 }
 
-TEST(KernelTest, AxpyIsPositionIndependentWithinALevel) {
+TEST(KernelTest, SaxpyAndTapAxpyArePositionIndependentWithinALevel) {
+  // A 4 x 300 "lowered" matrix whose rows are mostly zero: each row keeps a
+  // few in-window entries, one of them an exact zero weight.
   Rng R(808);
-  Matrix X = randomMatrix(1, 133, R);
-  Matrix Y0 = randomMatrix(1, 133, R);
-  const double A = -0.37;
+  const size_t Rows = 4, Cols = 300;
+  Matrix D(Rows, Cols);
+  std::vector<std::vector<kernels::Tap>> Taps(Rows);
+  for (size_t Row = 0; Row < Rows; ++Row)
+    for (size_t C = 3 * Row; C < Cols; C += 7 + Row) {
+      Taps[Row].push_back({static_cast<uint32_t>(C),
+                           static_cast<uint32_t>(Row * Cols + C)});
+      D(Row, C) = C % 5 == 0 ? 0.0 : R.uniform(-1.0, 1.0);
+    }
+  const Vector G{0.7, 0.0, -1.3, 0.37};
+  Matrix GRow(1, Rows);
+  for (size_t Row = 0; Row < Rows; ++Row)
+    GRow(0, Row) = G[Row];
   forEachSimdLevel([&](kernels::SimdLevel L) {
-    // One full-length call and any split into subranges must produce the
-    // same bits: matMul feeds saxpy 256-column panels while matTVec feeds
-    // whole rows, and the two paths promise bit-identity within a level.
-    Matrix Whole = Y0, Split = Y0;
-    kernels::axpy(Whole.row(0), X.row(0), A, X.cols());
-    kernels::axpy(Split.row(0), X.row(0), A, 61);
-    kernels::axpy(Split.row(0) + 61, X.row(0) + 61, A, X.cols() - 61);
-    expectValueEqual(Split, Whole);
+    // matMul feeds saxpy 256-column panels while matTVec feeds whole rows;
+    // the tap list skips the zero-filled columns. All three promise the
+    // same bits within a level.
+    const Vector Whole = matTVec(D, G);
+    Matrix Want(1, Cols);
+    std::copy(Whole.data(), Whole.data() + Cols, Want.row(0));
+    expectValueEqual(matMul(GRow, D), Want);
+    Matrix Tapped(1, Cols);
+    for (size_t Row = 0; Row < Rows; ++Row)
+      if (G[Row] != 0.0)
+        kernels::tapAxpy(Tapped.row(0), D.row(0), Taps[Row].data(),
+                         Taps[Row].size(), G[Row]);
+    expectValueEqual(Tapped, Want);
     if (L == kernels::SimdLevel::Scalar)
-      for (size_t J = 0; J < X.cols(); ++J)
-        ASSERT_EQ(Whole(0, J), Y0(0, J) + A * X(0, J));
+      for (size_t C = 0; C < Cols; ++C) {
+        double Sum = 0.0;
+        for (size_t Row = 0; Row < Rows; ++Row)
+          if (G[Row] != 0.0)
+            Sum += G[Row] * D(Row, C);
+        ASSERT_EQ(Whole[C], Sum);
+      }
   });
 }
 

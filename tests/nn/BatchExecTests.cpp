@@ -3,13 +3,15 @@
 // The batched concrete execution engine promises results bit-identical to
 // the per-point scalar path (DESIGN.md, "Batched concrete execution").
 // These tests pin that contract at every level: per-layer forwardBatch /
-// backwardBatch against row-by-row scalar evaluation, the batched Network
-// objective and gradient, and the two PGD engines — under both the serial
-// and the forced-threaded kernel configuration.
+// backwardBatch against row-by-row scalar evaluation, Conv2D against its
+// lowered affine form, the batched Network objective and gradient, and the
+// two PGD engines (plus the passes a PGD step costs) — under both the
+// serial and the forced-threaded kernel configuration.
 //
 //===----------------------------------------------------------------------===//
 
 #include "linalg/Kernels.h"
+#include "linalg/SimdDispatch.h"
 #include "nn/Builder.h"
 #include "nn/Conv2D.h"
 #include "nn/Dense.h"
@@ -85,6 +87,16 @@ Matrix backwardRows(Layer &L, const Matrix &X, const Matrix &GradOut) {
   return Out;
 }
 
+/// Restores the SIMD level when a test scope ends.
+class SimdLevelGuard {
+public:
+  SimdLevelGuard() : Saved(kernels::simdLevel()) {}
+  ~SimdLevelGuard() { kernels::setSimdLevel(Saved); }
+
+private:
+  kernels::SimdLevel Saved;
+};
+
 /// Runs \p Body once with threading disabled and once with every kernel
 /// call forced onto the pool — the engine promises identical bits either
 /// way (threading shards independent output rows only).
@@ -134,6 +146,51 @@ TEST(BatchExecTest, Conv2DMatchesScalarRows) {
   Rng R(44);
   L.initHe(R);
   checkLayerBatchIdentity(L, 45);
+}
+
+TEST(BatchExecTest, Conv2DPassesMatchLoweredAffineForm) {
+  // Stride 2, pad 1, a non-square kernel, several channels and one exactly
+  // zero weight (its tap stays in the window): forward is b + W.x with the
+  // bias first and W's entries ascending; backward is W^T.g through the
+  // active saxpy, as matTVec computes it over the zero-filled rows.
+  Conv2DLayer L(TensorShape{3, 6, 5}, /*OutChannels=*/2, /*KernelH=*/3,
+                /*KernelW=*/2, /*Stride=*/2, /*Pad=*/1);
+  Rng R(58);
+  L.initHe(R);
+  L.kernelAt(1, 2, 1, 0) = 0.0;
+  L.bias()[0] = 0.25;
+  L.bias()[1] = -0.5;
+  std::optional<AffineView> Affine = L.affineForm();
+  ASSERT_TRUE(Affine);
+  const Matrix &W = *Affine->W;
+  const Vector &B = *Affine->B;
+
+  Matrix X = randomMatrix(4, L.inputSize(), R);
+  Matrix GradOut = randomMatrix(4, L.outputSize(), R);
+  GradOut(1, 3) = 0.0;
+  SimdLevelGuard Guard;
+  for (kernels::SimdLevel Level : kernels::availableSimdLevels()) {
+    SCOPED_TRACE(kernels::simdLevelName(Level));
+    ASSERT_TRUE(kernels::setSimdLevel(Level));
+    Matrix WantFwd(X.rows(), L.outputSize());
+    Matrix WantBwd(X.rows(), L.inputSize());
+    for (size_t I = 0; I < X.rows(); ++I) {
+      for (size_t O = 0; O < W.rows(); ++O) {
+        double Sum = B[O];
+        for (size_t J = 0; J < W.cols(); ++J)
+          Sum += W(O, J) * X(I, J);
+        WantFwd(I, O) = Sum;
+      }
+      Vector G = matTVec(W, rowToVector(GradOut, I));
+      std::copy(G.data(), G.data() + G.size(), WantBwd.row(I));
+    }
+    expectValueEqual(forwardRows(L, X), WantFwd);
+    expectValueEqual(backwardRows(L, X, GradOut), WantBwd);
+    underBothThreadings([&] {
+      expectValueEqual(L.forwardBatch(X), WantFwd);
+      expectValueEqual(L.backwardBatch(X, GradOut), WantBwd);
+    });
+  }
 }
 
 TEST(BatchExecTest, MaxPool2DMatchesScalarRows) {
@@ -189,13 +246,12 @@ TEST(BatchExecTest, NetworkObjectiveBatchMatchesScalarOnLeNet) {
   });
 }
 
-TEST(BatchExecTest, PgdEnginesBitIdentical) {
-  Rng NetRng(51);
-  Network Net = makeMlp(8, {16, 16}, 3, NetRng);
-  Box Region = Box::uniform(8, -0.7, 0.4);
-  Rng WarmRng(52);
-  const Vector Warm = Box::uniform(8, -2.0, 2.0).sample(WarmRng);
+namespace {
 
+/// Runs both PGD engines over several population shapes, each cold and
+/// warm-started, for every target class; results must agree bit for bit.
+void checkPgdEnginesBitIdentical(const Network &Net, const Box &Region,
+                                 const Vector &Warm) {
   PgdConfig Variants[4];
   Variants[1].Restarts = 6;
   Variants[2].Restarts = 5;
@@ -206,7 +262,7 @@ TEST(BatchExecTest, PgdEnginesBitIdentical) {
   for (PgdConfig Config : Variants) {
     for (const Vector *WarmStart :
          {static_cast<const Vector *>(nullptr), &Warm}) {
-      for (size_t K = 0; K < 3; ++K) {
+      for (size_t K = 0; K < Net.outputSize(); ++K) {
         PgdConfig Scalar = Config;
         Scalar.Engine = PgdEngine::Scalar;
         PgdConfig Batched = Config;
@@ -219,6 +275,82 @@ TEST(BatchExecTest, PgdEnginesBitIdentical) {
       }
     }
   }
+}
+
+/// Identity layer counting the batched passes that cross it.
+class CountingLayer : public Layer {
+public:
+  explicit CountingLayer(size_t N) : Size(N) {}
+
+  LayerKind kind() const override { return LayerKind::Flatten; }
+  size_t inputSize() const override { return Size; }
+  size_t outputSize() const override { return Size; }
+  bool isIdentity() const override { return true; }
+
+  Vector forward(const Vector &Input) const override { return Input; }
+  Vector backward(const Vector &, const Vector &GradOut, bool) override {
+    return GradOut;
+  }
+  Matrix forwardBatch(const Matrix &X) const override {
+    ++Forwards;
+    return X;
+  }
+  Matrix backwardBatch(const Matrix &, const Matrix &GradOut) const override {
+    ++Backwards;
+    return GradOut;
+  }
+  std::unique_ptr<Layer> clone() const override {
+    return std::make_unique<CountingLayer>(Size);
+  }
+
+  mutable int Forwards = 0;
+  mutable int Backwards = 0;
+
+private:
+  size_t Size;
+};
+
+} // namespace
+
+TEST(BatchExecTest, PgdEnginesBitIdentical) {
+  Rng NetRng(51);
+  Network Net = makeMlp(8, {16, 16}, 3, NetRng);
+  Box Region = Box::uniform(8, -0.7, 0.4);
+  Rng WarmRng(52);
+  const Vector Warm = Box::uniform(8, -2.0, 2.0).sample(WarmRng);
+  checkPgdEnginesBitIdentical(Net, Region, Warm);
+}
+
+TEST(BatchExecTest, PgdEnginesBitIdenticalOnLeNet) {
+  Rng NetRng(54);
+  Network Net = makeLeNet(TensorShape{1, 10, 10}, 4, NetRng);
+  Box Region = Box::uniform(Net.inputSize(), 0.2, 0.6);
+  Rng WarmRng(55);
+  const Vector Warm = Box::uniform(Net.inputSize(), 0.0, 1.0).sample(WarmRng);
+  checkPgdEnginesBitIdentical(Net, Region, Warm);
+}
+
+TEST(BatchExecTest, PgdStepCostsOneForwardAndOneBackward) {
+  // The objective pass that scores a step's population is reused for the
+  // next step's gradient: S steps issue S + 1 batched forwards (the start
+  // population plus one per step) and S backwards.
+  Rng NetRng(56);
+  Network Mlp = makeMlp(8, {16, 16}, 3, NetRng);
+  Network Net;
+  auto Counter = std::make_unique<CountingLayer>(Mlp.inputSize());
+  const CountingLayer *Counts = Counter.get();
+  Net.addLayer(std::move(Counter));
+  for (size_t I = 0; I < Mlp.numLayers(); ++I)
+    Net.addLayer(Mlp.layer(I).clone());
+
+  PgdConfig Config;
+  Config.Steps = 12;
+  Config.Restarts = 3;
+  Config.EarlyStopObjective = -std::numeric_limits<double>::infinity();
+  Rng R(57);
+  pgdMinimize(Net, Box::uniform(8, -0.7, 0.4), 0, Config, R);
+  EXPECT_EQ(Counts->Backwards, Config.Steps);
+  EXPECT_EQ(Counts->Forwards, Config.Steps + 1);
 }
 
 TEST(BatchExecTest, FgsmMatchesManualScalarReplication) {

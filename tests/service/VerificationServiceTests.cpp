@@ -4,9 +4,12 @@
 
 #include "TestNetworks.h"
 #include "core/Digest.h"
+#include "search/SearchEngine.h"
+#include "support/Timer.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <mutex>
@@ -34,6 +37,28 @@ RobustnessProperty xorProperty() {
   Prop.Region = Box::uniform(2, 0.0, 1.0);
   Prop.TargetClass = 0;
   Prop.Name = "xor";
+  return Prop;
+}
+
+/// Interval-only policy: on the XOR region below, verification needs many
+/// splits (see RefinementTests).
+VerificationPolicy intervalOnlyPolicy() {
+  Matrix Theta(PolicyNumOutputs, PolicyNumFeatures);
+  Theta(0, 4) = -10.0;
+  Theta(1, 4) = -10.0;
+  Theta(2, 4) = 10.0;
+  Theta(3, 4) = -10.0;
+  Theta(4, 4) = -10.0;
+  return VerificationPolicy(std::move(Theta));
+}
+
+/// A verifiable XOR property that the interval-only policy decides in a few
+/// dozen nodes.
+RobustnessProperty xorRefineProperty() {
+  RobustnessProperty Prop;
+  Prop.Region = Box::uniform(2, 0.3, 0.7);
+  Prop.TargetClass = 1;
+  Prop.Name = "xor-refine";
   return Prop;
 }
 
@@ -292,16 +317,7 @@ TEST(VerificationServiceTest, PriorityOrdersQueuedJobs) {
 }
 
 TEST(VerificationServiceTest, ResubmittedTimeoutResumesFromCheckpoint) {
-  // Interval-only policy on the XOR region: verification needs many splits
-  // (see RefinementTests), so a 2ms budget reliably times out mid-search.
-  Matrix Theta(PolicyNumOutputs, PolicyNumFeatures);
-  Theta(0, 4) = -10.0;
-  Theta(1, 4) = -10.0;
-  Theta(2, 4) = 10.0;
-  Theta(3, 4) = -10.0;
-  Theta(4, 4) = -10.0;
-  VerificationPolicy IntervalOnly((Matrix(Theta)));
-
+  VerificationPolicy IntervalOnly = intervalOnlyPolicy();
   ServiceConfig SC;
   SC.Workers = 1;
   VerificationService Service(IntervalOnly, SC);
@@ -309,15 +325,28 @@ TEST(VerificationServiceTest, ResubmittedTimeoutResumesFromCheckpoint) {
 
   JobRequest Req;
   Req.Net = Net;
-  Req.Prop.Region = Box::uniform(2, 0.3, 0.7);
-  Req.Prop.TargetClass = 1;
-  Req.Prop.Name = "xor-refine";
-  Req.Config.TimeLimitSeconds = 0.002;
+  Req.Prop = xorRefineProperty();
+
+  // The budget scales with this build's node speed (a sanitizer build runs
+  // a node many times slower): three times the fastest of three unbudgeted
+  // root expansions, at least 2ms. Every resubmission can then commit a
+  // node, while the whole search still needs many budgets.
+  SearchEngine Engine(Service.registry().network(Net), IntervalOnly,
+                      Req.Config);
+  double RootSeconds = 1e9;
+  for (int Rep = 0; Rep < 3; ++Rep) {
+    Stopwatch Root;
+    Engine.expandNode(Req.Prop, Req.Prop.Region, nullptr, Req.Config.Seed,
+                      nullptr);
+    RootSeconds = std::min(RootSeconds, Root.seconds());
+  }
+  Req.Config.TimeLimitSeconds = std::max(0.002, 3.0 * RootSeconds);
 
   const JobOutcome First = Service.submit(Req).outcome();
   EXPECT_FALSE(First.Resumed);
   if (First.Result.Result != Outcome::Timeout)
-    GTEST_SKIP() << "query decided within 2ms; resume path not exercised";
+    GTEST_SKIP() << "query decided within one budget; resume path not "
+                    "exercised";
   ASSERT_TRUE(First.Result.Checkpoint);
 
   // Each identical resubmission finds the cached Timeout-with-checkpoint
@@ -349,6 +378,37 @@ TEST(VerificationServiceTest, ResubmittedTimeoutResumesFromCheckpoint) {
   EXPECT_TRUE(Hit.CacheHit);
   EXPECT_FALSE(Hit.Resumed);
   EXPECT_EQ(Hit.Result.Result, Outcome::Verified);
+}
+
+TEST(VerificationServiceTest, ZeroBudgetMeansUnlimited) {
+  // VerifierConfig::TimeLimitSeconds <= 0 means unlimited: a zero budget
+  // must search to the verdict, not answer Timeout before the root.
+  VerificationPolicy IntervalOnly = intervalOnlyPolicy();
+  const Network Xor = makeXorNetwork();
+  VerifierConfig Config;
+  Config.TimeLimitSeconds = 0.0;
+  for (bool Cegar : {false, true}) {
+    SCOPED_TRACE(Cegar ? "cegar" : "direct");
+    VerifierConfig C = Config;
+    C.Cegar.Enabled = Cegar;
+    VerifyResult Refine = Verifier(Xor, IntervalOnly, C).verify(
+        xorRefineProperty());
+    EXPECT_EQ(Refine.Result, Outcome::Verified);
+    VerifyResult Falsify =
+        Verifier(Xor, VerificationPolicy(), C).verify(xorProperty());
+    EXPECT_EQ(Falsify.Result, Outcome::Falsified);
+  }
+
+  ServiceConfig SC;
+  SC.Workers = 1;
+  VerificationService Service(IntervalOnly, SC);
+  JobRequest Req;
+  Req.Net = Service.registry().add(makeXorNetwork());
+  Req.Prop = xorRefineProperty();
+  Req.Config = Config;
+  const JobOutcome Out = Service.submit(Req).outcome();
+  EXPECT_EQ(Out.Result.Result, Outcome::Verified);
+  EXPECT_GT(Out.Result.Stats.NodesExpanded, 1);
 }
 
 TEST(VerificationServiceTest, RunBatchAggregates) {
