@@ -22,9 +22,9 @@
 
 #include "cert/CertChecker.h"
 #include "cert/Certificate.h"
-#include "core/Digest.h"
 #include "core/PropertyIo.h"
 #include "nn/Io.h"
+#include "nn/Network.h"
 #include "support/Timer.h"
 
 #include <cstdio>

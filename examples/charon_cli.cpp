@@ -45,8 +45,8 @@
 #include "core/PropertyIo.h"
 #include "core/Verifier.h"
 #include "cert/Certificate.h"
-#include "core/Digest.h"
 #include "nn/Io.h"
+#include "nn/Network.h"
 #include "onnx/OnnxImport.h"
 #include "search/Checkpoint.h"
 #include "support/TextCodec.h"

@@ -23,10 +23,10 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Digest.h"
 #include "core/PolicyIo.h"
 #include "fleet/FleetProtocol.h"
 #include "nn/Io.h"
+#include "nn/Network.h"
 #include "support/JsonLine.h"
 
 #include <csignal>

@@ -44,18 +44,20 @@
 # deterministic and cheap) and adds a single CHARON_SIMD=avx2 kernel_tests
 # smoke so the vector backend still sees ASan + UBSan coverage.
 # An ONNX smoke then generates the deterministic mixed fixture (conv +
-# batch-norm + avg-pool + sigmoid residual), imports it, and decides the
+# batch-norm + avg-pool + sigmoid residual), imports it (the printed
+# fingerprint must equal the pinned dbb53847ad7f1354), and decides the
 # same property from the .net, straight from the .onnx, and through
 # charon_serve with and without a 2-worker process fleet — all verdicts
 # must agree and the serve response streams must be byte-identical; the
 # sanitize leg runs the importer and the smooth transformers instrumented
 # with forced-threaded kernels.
 # A malformed-input smoke closes the run: oversized .net, .prop and
-# certificate files, a NaN request line, a NaN-weight ONNX model, and
-# malformed numeric flags of charon_serve and charon_cli (negative or
-# oversized counts, trailing bytes, non-finite numbers, delta <= 0) must
-# each be rejected with a diagnostic and an exit code in 1..127 (never a
-# signal); the sanitize leg runs them under ASan + UBSan.
+# certificate files, a zero-width activation in a .net, a NaN request
+# line, a NaN-weight ONNX model, and malformed numeric flags of
+# charon_serve and charon_cli (negative or oversized counts, trailing
+# bytes, non-finite numbers, delta <= 0) must each be rejected with a
+# diagnostic and an exit code in 1..127 (never a signal); the sanitize
+# leg runs them under ASan + UBSan.
 # Before any of that, scripts/check_test_registration.sh asserts every
 # tests/*/*Tests.cpp file is registered in the ctest suite.
 # Usage: scripts/check.sh [--sanitize]
@@ -487,7 +489,14 @@ mkdir -p "$ONNX_DIR"
   >/dev/null
 "$BUILD_DIR/examples/charon_cli" --import-onnx "$ONNX_DIR/mixed.onnx" \
   "$ONNX_DIR/mixed.net" > "$ONNX_DIR/import.out"
-grep -q 'fingerprint' "$ONNX_DIR/import.out"
+# The fingerprint is pinned: certificates, checkpoints and cache logs
+# written by earlier builds carry it, so a hashing change must not move it.
+if ! grep -q 'fingerprint dbb53847ad7f1354$' "$ONNX_DIR/import.out"; then
+  echo "onnx smoke: mixed fixture fingerprint moved" \
+       "(expected dbb53847ad7f1354):" >&2
+  cat "$ONNX_DIR/import.out" >&2
+  exit 1
+fi
 # A small box around the constant-0.1 input, targeting the class the
 # fixture assigns there (class 1) — robust, so every leg must verify it.
 {
@@ -550,13 +559,14 @@ echo "onnx smoke: import + verify OK, serial/fleet responses identical"
 # into a diagnostic and an exit code in 1..127, never a signal (an abort
 # in the allocator, a segfault on a NaN) and never a sanitizer report. The
 # inputs: a .net and a .prop declaring sizes their bytes cannot hold, a
-# certificate declaring 10^17 nodes, a request line with NaN bounds, and
-# an ONNX model with a NaN weight. The sanitize leg runs every loader
-# under ASan + UBSan.
+# .net declaring a zero-width activation, a certificate declaring 10^17
+# nodes, a request line with NaN bounds, and an ONNX model with a NaN
+# weight. The sanitize leg runs every loader under ASan + UBSan.
 BAD_DIR="$BUILD_DIR/malformed-smoke"
 rm -rf "$BAD_DIR"
 mkdir -p "$BAD_DIR"
 printf 'charon-network 1 1\ndense 200000 200000\n0 0\n' > "$BAD_DIR/huge.net"
+printf 'charon-network 1 1\nrelu 0\n' > "$BAD_DIR/zero-relu.net"
 printf 'charon-property 1\nname huge\ntarget 0\ndim 100000000000\n' \
   > "$BAD_DIR/huge.prop"
 printf 'lower 0\nupper 1\n' >> "$BAD_DIR/huge.prop"
@@ -600,6 +610,8 @@ expect_rejected() {
 }
 expect_rejected huge-net "$BUILD_DIR/examples/charon_cli" \
   "$BAD_DIR/huge.net" "$TRACE_DIR/acas-1.prop"
+expect_rejected zero-relu-net "$BUILD_DIR/examples/charon_cli" \
+  "$BAD_DIR/zero-relu.net" "$TRACE_DIR/acas-1.prop"
 expect_rejected huge-prop "$BUILD_DIR/examples/charon_cli" \
   "$TRACE_DIR/acas.net" "$BAD_DIR/huge.prop"
 expect_rejected huge-cert "$BUILD_DIR/examples/charon_check" \

@@ -106,7 +106,7 @@ struct ProofCertificate {
   /// Eq. 4 refutation threshold the falsified leaves were judged against.
   double Delta = 0.0;
   /// Digest guards binding the certificate to its query (see
-  /// core/Digest.h). ConfigDigest is the budget-free semantics digest, for
+  /// fingerprintNetwork in nn/Network.h and core/Digest.h). ConfigDigest is the budget-free semantics digest, for
   /// provenance: the checker reports (not rejects) a mismatch, because a
   /// valid proof is valid regardless of which config found it.
   uint64_t NetworkFingerprint = 0;

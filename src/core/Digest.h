@@ -1,4 +1,4 @@
-//===- Digest.h - Content digests for networks, properties, configs -*- C++ -*-===//
+//===- Digest.h - Content digests for properties and configs ----*- C++ -*-===//
 //
 // Part of the Charon reproduction of "Optimization and Abstraction" (PLDI'19).
 //
@@ -6,12 +6,13 @@
 ///
 /// \file
 /// Stable 64-bit content digests used by the verification service layer:
-/// a network fingerprint (layer shapes + weights), a property digest
-/// (region bounds + target class), and a verifier-config digest (every
-/// field that can change verify()'s verdict). All three are FNV-1a over
-/// the exact bit patterns, so they are stable across runs and processes
-/// and identical content always collides deliberately — the foundation of
-/// result-cache keys and network deduplication.
+/// a property digest (region bounds + target class) and a verifier-config
+/// digest (every field that can change verify()'s verdict). With the
+/// network fingerprint (fingerprintNetwork, declared beside Network in
+/// nn/Network.h) they are FNV-1a over the exact bit patterns, so they are
+/// stable across runs and processes and identical content always collides
+/// deliberately — the foundation of result-cache keys and network
+/// deduplication.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,40 +24,8 @@
 #include "nn/Network.h"
 
 #include <cstdint>
-#include <string_view>
 
 namespace charon {
-
-/// Incremental 64-bit FNV-1a hasher.
-class Fnv1a {
-public:
-  /// Absorbs \p Len raw bytes.
-  Fnv1a &bytes(const void *Data, size_t Len);
-
-  /// Absorbs an unsigned integer (little-endian byte order).
-  Fnv1a &u64(uint64_t V);
-
-  /// Absorbs a double's bit pattern; -0.0 is normalized to 0.0 so equal
-  /// values hash equally.
-  Fnv1a &f64(double V);
-
-  /// Absorbs a string's length and bytes (length-prefixing keeps "ab","c"
-  /// distinct from "a","bc").
-  Fnv1a &str(std::string_view S);
-
-  /// The digest of everything absorbed so far.
-  uint64_t digest() const { return State; }
-
-private:
-  uint64_t State = 0xcbf29ce484222325ull;
-};
-
-/// Content fingerprint of a network: layer kinds, shapes, and parameters.
-/// Two networks with identical architecture and bit-identical weights get
-/// the same fingerprint regardless of how they were constructed or what
-/// file they were loaded from, so a registry can dedupe them and cache
-/// keys survive process restarts.
-uint64_t fingerprintNetwork(const Network &Net);
 
 /// Digest of a robustness property: region bounds and target class. The
 /// display name is deliberately excluded — two queries about the same

@@ -2,9 +2,9 @@
 
 #include "fleet/FleetCoordinator.h"
 
-#include "core/Digest.h"
 #include "fleet/WorkerProcess.h"
 #include "nn/Io.h"
+#include "nn/Network.h"
 #include "support/ThreadPool.h"
 
 #include <cmath>

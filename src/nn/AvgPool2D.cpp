@@ -54,19 +54,18 @@ Vector AvgPool2DLayer::backward(const Vector &Input, const Vector &GradOut,
   return GradIn;
 }
 
-void AvgPool2DLayer::buildLowered() const {
+AvgPool2DLayer::LoweredForm AvgPool2DLayer::buildLowered() const {
   double Inv = 1.0 / (PH * PW);
-  auto Form = std::make_unique<LoweredForm>();
-  Form->W = Matrix(OutShape.size(), InShape.size());
-  Form->Bias = Vector(OutShape.size());
+  LoweredForm Form;
+  Form.W = Matrix(OutShape.size(), InShape.size());
+  Form.Bias = Vector(OutShape.size());
   for (size_t O = 0, E = Windows.size(); O < E; ++O)
     for (int Idx : Windows[O])
-      Form->W(O, Idx) = Inv;
-  Lowered = std::move(Form);
+      Form.W(O, Idx) = Inv;
+  return Form;
 }
 
 std::optional<AffineView> AvgPool2DLayer::affineForm() const {
-  if (!Lowered)
-    buildLowered();
-  return AffineView{&Lowered->W, &Lowered->Bias};
+  const LoweredForm &Form = Lowered.get([this] { return buildLowered(); });
+  return AffineView{&Form.W, &Form.Bias};
 }

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// 2-D average pooling. Unlike max pooling, averaging is a linear map, so
-/// the layer exposes a lowered \c affineForm() (cached, like Conv2D) and
+/// the layer exposes a lowered \c affineForm() (built once, like Conv2D) and
 /// every abstract domain gets an exact transformer for free.
 ///
 //===----------------------------------------------------------------------===//
@@ -16,6 +16,7 @@
 
 #include "nn/Conv2D.h"
 #include "nn/Layer.h"
+#include "support/Lazy.h"
 
 namespace charon {
 
@@ -46,7 +47,11 @@ public:
   int stride() const { return S; }
 
 private:
-  void buildLowered() const;
+  struct LoweredForm {
+    Matrix W;
+    Vector Bias;
+  };
+  LoweredForm buildLowered() const;
 
   TensorShape InShape;
   TensorShape OutShape;
@@ -55,11 +60,8 @@ private:
   /// ascending order (the same order the lowered matrix row visits them).
   std::vector<std::vector<int>> Windows;
 
-  struct LoweredForm {
-    Matrix W;
-    Vector Bias;
-  };
-  mutable std::unique_ptr<LoweredForm> Lowered;
+  /// Built once, thread-safe on first use; the layer has no weights.
+  Lazy<LoweredForm> Lowered;
 };
 
 } // namespace charon

@@ -40,9 +40,10 @@ void Conv2DLayer::initHe(Rng &R) {
 
 const Conv2DLayer::TapList &Conv2DLayer::taps() const {
   // Lazy and thread-safe: concurrent searches share one layer.
-  std::call_once(TapsOnce, [this] {
-    TapCache.Begin.reserve(positions() + 1);
-    TapCache.Begin.push_back(0);
+  return TapCache.get([this] {
+    TapList T;
+    T.Begin.reserve(positions() + 1);
+    T.Begin.push_back(0);
     for (int Oy = 0; Oy < OutShape.Height; ++Oy) {
       for (int Ox = 0; Ox < OutShape.Width; ++Ox) {
         for (int Ic = 0; Ic < InShape.Channels; ++Ic) {
@@ -54,17 +55,17 @@ const Conv2DLayer::TapList &Conv2DLayer::taps() const {
               int Ix = Ox * S + Kx - P;
               if (Ix < 0 || Ix >= InShape.Width)
                 continue;
-              TapCache.Taps.push_back(
+              T.Taps.push_back(
                   {static_cast<uint32_t>(InShape.index(Ic, Iy, Ix)),
                    static_cast<uint32_t>(kernelIndex(0, Ic, Ky, Kx))});
             }
           }
         }
-        TapCache.Begin.push_back(TapCache.Taps.size());
+        T.Begin.push_back(T.Taps.size());
       }
     }
+    return T;
   });
-  return TapCache;
 }
 
 void Conv2DLayer::forwardRow(const double *In, double *Out) const {
@@ -166,32 +167,31 @@ void Conv2DLayer::zeroGradients() {
   GradB.fill(0.0);
 }
 
-void Conv2DLayer::buildLowered() const {
-  auto Form = std::make_unique<LoweredForm>();
-  Form->W = Matrix(OutShape.size(), InShape.size());
-  Form->Bias = Vector(OutShape.size());
+Conv2DLayer::LoweredForm Conv2DLayer::buildLowered() const {
+  LoweredForm Form;
+  Form.W = Matrix(OutShape.size(), InShape.size());
+  Form.Bias = Vector(OutShape.size());
   // Each output coordinate owns exactly one W row, so the scatter shards
   // cleanly across rows.
   const TapList &T = taps();
   const size_t Positions = positions();
   kernels::parallelFor(
-      Form->W.rows(), filterSize(), [&](size_t Begin, size_t End) {
+      Form.W.rows(), filterSize(), [&](size_t Begin, size_t End) {
         for (size_t Row = Begin; Row < End; ++Row) {
           const size_t Oc = Row / Positions, Pos = Row % Positions;
           const double *Filter = Kernels.data() + Oc * filterSize();
-          Form->Bias[Row] = B[Oc];
-          double *WRow = Form->W.row(Row);
+          Form.Bias[Row] = B[Oc];
+          double *WRow = Form.W.row(Row);
           for (size_t I = T.Begin[Pos], IE = T.Begin[Pos + 1]; I < IE; ++I)
             WRow[T.Taps[I].In] = Filter[T.Taps[I].K];
         }
       });
-  Lowered = std::move(Form);
+  return Form;
 }
 
 std::optional<AffineView> Conv2DLayer::affineForm() const {
-  if (!Lowered)
-    buildLowered();
-  return AffineView{&Lowered->W, &Lowered->Bias};
+  const LoweredForm &Form = Lowered.get([this] { return buildLowered(); });
+  return AffineView{&Form.W, &Form.Bias};
 }
 
 std::unique_ptr<Layer> Conv2DLayer::clone() const {

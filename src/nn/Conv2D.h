@@ -8,8 +8,8 @@
 /// 2-D convolution with zero padding. Tensors are flattened channel-major:
 /// index(c, y, x) = c*H*W + y*W + x. Sec. 2.1 of the paper treats
 /// convolutional layers as affine transformations for analysis purposes;
-/// \c affineForm() returns the lowered dense matrix (cached between weight
-/// updates) so the abstract transformers see the exact same map the concrete
+/// \c affineForm() returns the lowered dense matrix (built once per weight
+/// state) so the abstract transformers see the exact same map the concrete
 /// forward pass computes. Concrete execution never touches that matrix: it
 /// walks a tap list (each output position's in-window (input, weight)
 /// pairs, shared by the output channels), so a pass costs one multiply-add
@@ -22,8 +22,7 @@
 
 #include "linalg/Kernels.h"
 #include "nn/Layer.h"
-
-#include <mutex>
+#include "support/Lazy.h"
 
 namespace charon {
 class Rng;
@@ -92,7 +91,12 @@ private:
     return ((Oc * InShape.Channels + Ic) * KH + Ky) * KW + Kx;
   }
 
-  void buildLowered() const;
+  /// Dense lowering y = W x + b of the convolution.
+  struct LoweredForm {
+    Matrix W;
+    Vector Bias;
+  };
+  LoweredForm buildLowered() const;
 
   /// Per-position tap lists in CSR form: the taps of output position
   /// p = Oy * OutW + Ox are Taps[Begin[p], Begin[p + 1]), ascending in
@@ -129,16 +133,11 @@ private:
   std::vector<double> GradKernels;
   Vector GradB;
 
-  /// Cached dense lowering y = W x + b of the convolution; rebuilt lazily
-  /// after any weight update.
-  struct LoweredForm {
-    Matrix W;
-    Vector Bias;
-  };
-  mutable std::unique_ptr<LoweredForm> Lowered;
+  /// The lowering, built once per weight state (thread-safe on first use)
+  /// and dropped by every member that can change a weight.
+  Lazy<LoweredForm> Lowered;
 
-  mutable std::once_flag TapsOnce;
-  mutable TapList TapCache;
+  Lazy<TapList> TapCache;
 };
 
 } // namespace charon

@@ -111,8 +111,10 @@ std::unique_ptr<Layer> loadLayer(TextReader &R, bool InResidualBody) {
   }
   if (Kind == "relu" || Kind == "sigmoid" || Kind == "tanh" ||
       Kind == "flatten") {
+    // Nothing is allocated here, but analysis allocates per-coordinate
+    // state, so the width is bounded like every other declared tensor.
     size_t N = 0;
-    if (!R.integer(N))
+    if (!R.integer(N) || N == 0 || N > size_t(MaxDeclaredTensorSize))
       return nullptr;
     if (Kind == "relu")
       return std::make_unique<ReluLayer>(N);

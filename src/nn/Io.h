@@ -25,7 +25,7 @@ namespace charon {
 
 /// Largest tensor (element count) a network file or fuzz network spec may
 /// declare for data it does not carry: spatial layer shapes, conv kernels,
-/// and seed-regenerated weights. Sized far above every benchmark network;
+/// activation and flatten widths, and seed-regenerated weights. Sized far above every benchmark network;
 /// it keeps int index arithmetic exact and construction-time tables small.
 inline constexpr int64_t MaxDeclaredTensorSize = int64_t(1) << 24;
 

@@ -32,7 +32,7 @@ namespace charon {
 class Network;
 
 /// Discriminator for the concrete layer classes. New kinds append at the
-/// end: the numeric value feeds network fingerprints (see Digest.cpp), so
+/// end: the numeric value feeds network fingerprints (see Network.cpp), so
 /// reordering would silently invalidate every stored digest.
 enum class LayerKind {
   Dense,

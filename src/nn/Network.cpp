@@ -2,6 +2,8 @@
 
 #include "nn/Network.h"
 
+#include "support/Fnv1a.h"
+
 #include <cassert>
 #include <limits>
 
@@ -11,6 +13,7 @@ void Network::addLayer(std::unique_ptr<Layer> L) {
   assert(L && "null layer");
   assert((Layers.empty() || Layers.back()->outputSize() == L->inputSize()) &&
          "layer input size must match previous output size");
+  Fingerprint.reset();
   Layers.push_back(std::move(L));
 }
 
@@ -150,11 +153,13 @@ Network Network::clone() const {
 }
 
 void Network::zeroGradients() {
+  Fingerprint.reset();
   for (auto &L : Layers)
     L->zeroGradients();
 }
 
 void Network::applyGradients(double LearningRate, double BatchSize) {
+  Fingerprint.reset();
   for (auto &L : Layers)
     L->applyGradients(LearningRate, BatchSize);
 }
@@ -163,10 +168,53 @@ Vector Network::backpropagate(const std::vector<Vector> &Activations,
                               const Vector &GradOut) {
   assert(Activations.size() == Layers.size() + 1 &&
          "activation trace size mismatch");
+  Fingerprint.reset();
   Vector Grad = GradOut;
   for (size_t Iu = Layers.size(); Iu > 0; --Iu) {
     size_t I = Iu - 1;
     Grad = Layers[I]->backward(Activations[I], Grad, /*AccumulateParams=*/true);
   }
   return Grad;
+}
+
+static void hashLayer(Fnv1a &H, const Layer &L) {
+  H.u64(static_cast<uint64_t>(L.kind()));
+  H.u64(L.inputSize());
+  H.u64(L.outputSize());
+  if (auto Affine = L.affineForm()) {
+    // Dense, Conv2D, and AvgPool2D all expose their parameters through the
+    // affine view (the conv/pool layers via their lowered matrices), so this
+    // covers every weighted layer uniformly.
+    const Matrix &W = *Affine->W;
+    H.u64(W.rows()).u64(W.cols());
+    for (size_t R = 0; R < W.rows(); ++R)
+      for (size_t C = 0; C < W.cols(); ++C)
+        H.f64(W(R, C));
+    const Vector &B = *Affine->B;
+    for (size_t J = 0; J < B.size(); ++J)
+      H.f64(B[J]);
+  } else if (const PoolSpec *Pool = L.poolSpec()) {
+    H.u64(Pool->PoolIndices.size());
+    for (const auto &Group : Pool->PoolIndices) {
+      H.u64(Group.size());
+      for (int Idx : Group)
+        H.u64(static_cast<uint64_t>(Idx));
+    }
+  } else if (const Network *Body = L.residualBody()) {
+    H.u64(Body->numLayers());
+    for (size_t I = 0, E = Body->numLayers(); I < E; ++I)
+      hashLayer(H, Body->layer(I));
+  }
+  // Activations and Flatten carry no parameters beyond kind and size,
+  // already absorbed.
+}
+
+uint64_t charon::fingerprintNetwork(const Network &Net) {
+  return Net.Fingerprint.get([&Net] {
+    Fnv1a H;
+    H.u64(Net.numLayers());
+    for (size_t I = 0, E = Net.numLayers(); I < E; ++I)
+      hashLayer(H, Net.layer(I));
+    return H.digest();
+  });
 }

@@ -8,7 +8,8 @@
 /// A feed-forward network N : R^n -> R^m as a sequence of layers
 /// (Sec. 2.1). Supports concrete evaluation, classification, and reverse-mode
 /// gradients w.r.t. the input — the primitive behind the paper's
-/// gradient-based counterexample search (Sec. 3, Eq. 1-2).
+/// gradient-based counterexample search (Sec. 3, Eq. 1-2). The network's
+/// content fingerprint lives here too, memoized per weight state.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,7 +17,9 @@
 #define CHARON_NN_NETWORK_H
 
 #include "nn/Layer.h"
+#include "support/Lazy.h"
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,6 +31,10 @@ namespace charon {
 Vector objectiveOfOutputs(const Matrix &Y, size_t K);
 
 /// Sequential feed-forward network.
+///
+/// Const members may run concurrently; a non-const member must not run
+/// concurrently with any other member. Every non-const member that can
+/// reach a layer drops the memoized fingerprint (see fingerprintNetwork).
 class Network {
 public:
   Network() = default;
@@ -36,7 +43,13 @@ public:
   void addLayer(std::unique_ptr<Layer> L);
 
   size_t numLayers() const { return Layers.size(); }
-  Layer &layer(size_t I) { return *Layers[I]; }
+  /// Mutable layer access drops the fingerprint memo up front, so a
+  /// reference taken here must not be used to change weights after the
+  /// next fingerprintNetwork call.
+  Layer &layer(size_t I) {
+    Fingerprint.reset();
+    return *Layers[I];
+  }
   const Layer &layer(size_t I) const { return *Layers[I]; }
 
   size_t inputSize() const;
@@ -87,7 +100,8 @@ public:
   Matrix objectiveGradientBatch(const std::vector<Matrix> &Acts,
                                 size_t K) const;
 
-  /// Deep copy.
+  /// Deep copy. The copy computes its own fingerprint on first use; it
+  /// equals this network's, because the weights are bit-identical.
   Network clone() const;
 
   /// Optional human-readable name (used in benchmark reports).
@@ -105,9 +119,28 @@ public:
                        const Vector &GradOut);
 
 private:
+  friend uint64_t fingerprintNetwork(const Network &Net);
+
   std::vector<std::unique_ptr<Layer>> Layers;
+  /// Not part of the fingerprint, so setName keeps the memo.
   std::string Name;
+  /// fingerprintNetwork's memo. Moves carry it with the layers.
+  Lazy<uint64_t> Fingerprint;
 };
+
+/// Content fingerprint of a network: layer kinds, shapes, and parameters,
+/// FNV-1a over their exact bits (support/Fnv1a.h). Two networks with
+/// identical architecture and bit-identical weights get the same
+/// fingerprint regardless of how they were constructed or what file they
+/// were loaded from, so a registry can dedupe them and cache keys,
+/// certificates and checkpoints survive process restarts.
+///
+/// Computed at most once per weight state: the value is memoized on
+/// \p Net, dropped by every mutating member (addLayer, non-const layer(),
+/// applyGradients, zeroGradients, backpropagate, move-assignment). Concurrent
+/// first calls on a shared const network compute it once and publish it
+/// atomically; later calls take no lock.
+uint64_t fingerprintNetwork(const Network &Net);
 
 } // namespace charon
 

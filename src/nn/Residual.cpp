@@ -73,18 +73,20 @@ void ResidualLayer::applyGradients(double LearningRate, double BatchSize) {
 void ResidualLayer::zeroGradients() { Body.zeroGradients(); }
 
 const ResidualLayer::ResidualPlan &ResidualLayer::plan() const {
-  if (Plan)
-    return *Plan;
+  return Plan.get([this] { return buildPlan(); });
+}
+
+ResidualLayer::ResidualPlan ResidualLayer::buildPlan() const {
   size_t N = inputSize();
-  auto P = std::make_unique<ResidualPlan>();
+  ResidualPlan P;
 
   // Dup = [I; I]: state becomes [x; x], skip copy in the first N coords.
-  P->DupW = Matrix(2 * N, N);
+  P.DupW = Matrix(2 * N, N);
   for (size_t I = 0; I < N; ++I) {
-    P->DupW(I, I) = 1.0;
-    P->DupW(N + I, I) = 1.0;
+    P.DupW(I, I) = 1.0;
+    P.DupW(N + I, I) = 1.0;
   }
-  P->DupB = Vector(2 * N);
+  P.DupB = Vector(2 * N);
 
   for (size_t LI = 0, E = Body.numLayers(); LI < E; ++LI) {
     const Layer &L = Body.layer(LI);
@@ -114,17 +116,15 @@ const ResidualLayer::ResidualPlan &ResidualLayer::plan() const {
       Step.Begin = N;
       Step.End = N + L.outputSize();
     }
-    P->Steps.push_back(std::move(Step));
+    P.Steps.push_back(std::move(Step));
   }
 
   // Sum = [I I]: y = x + z.
-  P->SumW = Matrix(N, 2 * N);
+  P.SumW = Matrix(N, 2 * N);
   for (size_t I = 0; I < N; ++I) {
-    P->SumW(I, I) = 1.0;
-    P->SumW(I, N + I) = 1.0;
+    P.SumW(I, I) = 1.0;
+    P.SumW(I, N + I) = 1.0;
   }
-  P->SumB = Vector(N);
-
-  Plan = std::move(P);
-  return *Plan;
+  P.SumB = Vector(N);
+  return P;
 }

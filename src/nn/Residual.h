@@ -22,6 +22,7 @@
 
 #include "nn/Layer.h"
 #include "nn/Network.h"
+#include "support/Lazy.h"
 
 namespace charon {
 
@@ -68,8 +69,8 @@ public:
   };
 
   /// The analyzer's propagation plan: Dup = [I; I] (2N x N), one step per
-  /// non-identity body layer, Sum = [I I] (N x 2N). Cached; rebuilt lazily
-  /// after weight updates.
+  /// non-identity body layer, Sum = [I I] (N x 2N). Built once per weight
+  /// state (thread-safe on first use); rebuilt lazily after weight updates.
   struct ResidualPlan {
     Matrix DupW;
     Vector DupB;
@@ -80,8 +81,10 @@ public:
   const ResidualPlan &plan() const;
 
 private:
+  ResidualPlan buildPlan() const;
+
   Network Body;
-  mutable std::unique_ptr<ResidualPlan> Plan;
+  Lazy<ResidualPlan> Plan;
 };
 
 } // namespace charon

@@ -418,12 +418,6 @@ VerifyResult SearchEngine::run(const RobustnessProperty &Prop,
                                ThreadPool *Pool,
                                const NodeExpander &Expand) const {
   assert(Prop.Region.dim() == Net.inputSize() && "property/network mismatch");
-  if (Pool) {
-    // Pre-warm lazily built affine lowerings (e.g. convolution caches) so
-    // the shared network is strictly read-only during the parallel phase.
-    for (size_t I = 0, E = Net.numLayers(); I < E; ++I)
-      (void)Net.layer(I).affineForm();
-  }
 
   SearchState S(Prop, Config, Expand);
 

@@ -2,7 +2,6 @@
 
 #include "service/NetworkRegistry.h"
 
-#include "core/Digest.h"
 #include "nn/Io.h"
 #include "onnx/OnnxImport.h"
 #include <cassert>
@@ -10,16 +9,17 @@
 using namespace charon;
 
 NetworkId NetworkRegistry::add(Network Net) {
-  // Fingerprinting walks every layer's affineForm(), which also forces the
-  // lazily built conv lowerings — so a registered network is read-only and
-  // safe to share across verifier threads without further warm-up.
+  // The fingerprint is memoized on the network and moves with it, so later
+  // fingerprint() calls and every certificate check reuse it. A registered
+  // network is never mutated again: verifier threads share it read-only,
+  // and its lazily built lowerings are thread-safe on first use.
   uint64_t Fp = fingerprintNetwork(Net);
   std::lock_guard<std::mutex> Lock(Mutex);
   auto It = ByFingerprint.find(Fp);
   if (It != ByFingerprint.end())
     return It->second;
   NetworkId Id = static_cast<NetworkId>(Entries.size());
-  Entries.push_back({std::make_unique<Network>(std::move(Net)), Fp});
+  Entries.push_back(std::make_unique<Network>(std::move(Net)));
   ByFingerprint.emplace(Fp, Id);
   return Id;
 }
@@ -49,13 +49,11 @@ NetworkRegistry::addFromFile(const std::string &Path) {
 const Network &NetworkRegistry::network(NetworkId Id) const {
   std::lock_guard<std::mutex> Lock(Mutex);
   assert(Id < Entries.size() && "unknown network id");
-  return *Entries[Id].Net;
+  return *Entries[Id];
 }
 
 uint64_t NetworkRegistry::fingerprint(NetworkId Id) const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  assert(Id < Entries.size() && "unknown network id");
-  return Entries[Id].Fingerprint;
+  return fingerprintNetwork(network(Id));
 }
 
 size_t NetworkRegistry::size() const {

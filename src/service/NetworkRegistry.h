@@ -8,10 +8,10 @@
 /// The service-side store of networks under verification. Each network is
 /// loaded (or registered) once, given a stable small integer ID, and
 /// fingerprinted by content (FNV-1a over layer shapes + weights, see
-/// core/Digest.h). Registering the same weights twice — whether from the
-/// same file, a different path, or an in-memory clone — returns the
-/// existing ID, so every query against "the same network" shares one
-/// read-only instance and one cache-key namespace.
+/// fingerprintNetwork in nn/Network.h). Registering the same weights twice
+/// — whether from the same file, a different path, or an in-memory clone —
+/// returns the existing ID, so every query against "the same network"
+/// shares one read-only instance and one cache-key namespace.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,21 +51,17 @@ public:
   /// lifetime; networks are immutable once registered.
   const Network &network(NetworkId Id) const;
 
-  /// Content fingerprint of a registered network (stable across runs).
+  /// Content fingerprint of a registered network (stable across runs);
+  /// the network's own memo, taken when it was registered.
   uint64_t fingerprint(NetworkId Id) const;
 
   /// Number of distinct networks held.
   size_t size() const;
 
 private:
-  struct Entry {
-    // unique_ptr keeps Network references stable as the vector grows.
-    std::unique_ptr<Network> Net;
-    uint64_t Fingerprint = 0;
-  };
-
   mutable std::mutex Mutex;
-  std::vector<Entry> Entries;
+  // unique_ptr keeps Network references stable as the vector grows.
+  std::vector<std::unique_ptr<Network>> Entries;
   std::unordered_map<uint64_t, NetworkId> ByFingerprint;
   std::unordered_map<std::string, NetworkId> ByPath;
 };

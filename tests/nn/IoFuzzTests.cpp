@@ -88,6 +88,35 @@ TEST(IoFuzzTest, LayerCountMismatchRejected) {
   }
 }
 
+TEST(IoFuzzTest, ActivationWidthsBounded) {
+  // Activation and flatten layers carry no data, so their declared width
+  // is checked against the tensor bound directly: zero and 2^24 + 1 are
+  // rejected, alone, after a matching dense layer, and inside a residual.
+  const std::string Sizes[] = {"0", "16777217", "99999999999"};
+  for (const char *Kind : {"relu", "sigmoid", "tanh", "flatten"}) {
+    for (const std::string &N : Sizes) {
+      std::string Alone =
+          std::string("charon-network 1 1\n") + Kind + " " + N + "\n";
+      std::string Residual = std::string("charon-network 1 1\nresidual 1\n") +
+                             Kind + " " + N + "\n";
+      for (const std::string &Text : {Alone, Residual}) {
+        std::stringstream Ss(Text);
+        EXPECT_FALSE(loadNetwork(Ss).has_value()) << Text;
+      }
+    }
+    // The bound itself still loads; a zero width is rejected even where
+    // it matches the previous layer's (zero) output size.
+    std::string AtBound =
+        std::string("charon-network 1 1\n") + Kind + " 16777216\n";
+    std::stringstream Ok(AtBound);
+    EXPECT_TRUE(loadNetwork(Ok).has_value()) << AtBound;
+    std::string AfterDense =
+        std::string("charon-network 1 2\ndense 2 0\n") + Kind + " 0\n";
+    std::stringstream Bad(AfterDense);
+    EXPECT_FALSE(loadNetwork(Bad).has_value()) << AfterDense;
+  }
+}
+
 TEST(IoFuzzTest, RandomGarbageRejected) {
   Rng R(5);
   for (int Trial = 0; Trial < 100; ++Trial) {

@@ -13,13 +13,13 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Digest.h"
 #include "nn/Activation.h"
 #include "nn/AvgPool2D.h"
 #include "nn/Conv2D.h"
 #include "nn/Dense.h"
 #include "nn/Flatten.h"
 #include "nn/Io.h"
+#include "nn/Network.h"
 #include "nn/Relu.h"
 #include "nn/Residual.h"
 #include "support/Random.h"

@@ -12,9 +12,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "abstract/Analyzer.h"
-#include "core/Digest.h"
 #include "core/Verifier.h"
 #include "nn/Io.h"
+#include "nn/Network.h"
 #include "onnx/OnnxBuilder.h"
 #include "onnx/OnnxImport.h"
 #include "support/Random.h"

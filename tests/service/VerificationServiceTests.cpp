@@ -3,7 +3,6 @@
 #include "service/VerificationService.h"
 
 #include "TestNetworks.h"
-#include "core/Digest.h"
 #include "search/SearchEngine.h"
 #include "support/Timer.h"
 

@@ -1,6 +1,7 @@
 //===- SupportTests.cpp - Tests for the support library ----------------------===//
 
 #include "support/Check.h"
+#include "support/Fnv1a.h"
 #include "support/Random.h"
 #include "support/Stats.h"
 #include "support/TextCodec.h"
@@ -144,6 +145,27 @@ TEST(StatsTest, Median) {
   EXPECT_DOUBLE_EQ(median({3.0}), 3.0);
   EXPECT_DOUBLE_EQ(median({5.0, 1.0, 3.0}), 3.0);
   EXPECT_DOUBLE_EQ(median({4.0, 1.0, 3.0, 2.0}), 2.5);
+}
+
+//===----------------------------------------------------------------------===//
+// Fnv1a
+//===----------------------------------------------------------------------===//
+
+TEST(Fnv1aTest, WordsHashAsTheirLittleEndianBytes) {
+  // u64 has a one-multiply step for zero words; every word, zero or not,
+  // must still hash exactly as its eight little-endian bytes.
+  const uint64_t Words[] = {0, 7, 0, 0, 0x8000000000000000ull, 0};
+  Fnv1a ByWord, ByByte;
+  for (uint64_t W : Words) {
+    ByWord.u64(W);
+    unsigned char Buf[8];
+    for (int I = 0; I < 8; ++I)
+      Buf[I] = static_cast<unsigned char>(W >> (8 * I));
+    ByByte.bytes(Buf, 8);
+  }
+  EXPECT_EQ(ByWord.digest(), ByByte.digest());
+  // Eight zero bytes into the FNV-1a offset basis.
+  EXPECT_EQ(Fnv1a().u64(0).digest(), 0xa8c7f832281a39c5ull);
 }
 
 //===----------------------------------------------------------------------===//
