@@ -248,12 +248,21 @@ struct MicroFixture {
   Network Net;
   Box Region;
 
+  /// A seeded MLP of the given width, or with \p LeNet a seeded LeNet over
+  /// a one-channel Width x Width image (10 is the mnist_conv shape); either
+  /// way an L-inf ball of radius 0.05 around a seeded center.
   MicroFixture(size_t Width, int HiddenLayers,
-               ActivationKind Act = ActivationKind::Relu) {
+               ActivationKind Act = ActivationKind::Relu, bool LeNet = false) {
     Rng R(17);
-    Net = makeMlp(Width, std::vector<size_t>(HiddenLayers, Width), 10, R, Act);
-    Vector Center(Width);
-    for (size_t I = 0; I < Width; ++I)
+    if (LeNet) {
+      const int Side = static_cast<int>(Width);
+      Net = makeLeNet(TensorShape{1, Side, Side}, 10, R);
+    } else {
+      Net = makeMlp(Width, std::vector<size_t>(HiddenLayers, Width), 10, R,
+                    Act);
+    }
+    Vector Center(Net.inputSize());
+    for (size_t I = 0; I < Center.size(); ++I)
       Center[I] = R.uniform(0.3, 0.7);
     Region = Box::linfBall(Center, 0.05, 0.0, 1.0);
   }
@@ -314,12 +323,22 @@ std::vector<MicroDomainCase> charon::bench::defaultMicroDomainCases() {
       KernelPrecision::Double, ActivationKind::Sigmoid);
   Add("zonotope_dense_sigmoid_w128_f32", 128, BaseDomainKind::Zonotope, 1,
       KernelPrecision::Float32, ActivationKind::Sigmoid);
+  // The mnist_conv shape: LeNet over a 10 x 10 image, three convolutions
+  // the zonotope runs through their tap plans.
+  for (KernelPrecision P :
+       {KernelPrecision::Double, KernelPrecision::Float32}) {
+    Add(P == KernelPrecision::Double ? "zonotope_lenet10"
+                                     : "zonotope_lenet10_f32",
+        10, BaseDomainKind::Zonotope, 1, P);
+    Cases.back().LeNet = true;
+    Cases.back().HiddenLayers = 0;
+  }
   return Cases;
 }
 
 MicroDomainResult charon::bench::runMicroDomainCase(const MicroDomainCase &Case,
                                                     int Repeats) {
-  MicroFixture F(Case.Width, Case.HiddenLayers, Case.Act);
+  MicroFixture F(Case.Width, Case.HiddenLayers, Case.Act, Case.LeNet);
   MicroDomainResult Result;
   Result.Case = Case;
   Result.InputDim = F.Net.inputSize();
@@ -409,23 +428,10 @@ std::vector<CexSearchCase> charon::bench::defaultCexSearchCases() {
 
 CexSearchResult charon::bench::runCexSearchCase(const CexSearchCase &Case,
                                                 int Repeats) {
-  // The micro-domain MLP fixture, or a LeNet searched over the same kind
-  // of seeded L-inf ball.
-  Network Net;
-  Box Region;
-  if (Case.LeNet) {
-    Rng R(17);
-    const int Side = static_cast<int>(Case.Width);
-    Net = makeLeNet(TensorShape{1, Side, Side}, 10, R);
-    Vector Center(Net.inputSize());
-    for (size_t I = 0; I < Center.size(); ++I)
-      Center[I] = R.uniform(0.3, 0.7);
-    Region = Box::linfBall(Center, 0.05, 0.0, 1.0);
-  } else {
-    MicroFixture F(Case.Width, Case.HiddenLayers);
-    Net = std::move(F.Net);
-    Region = std::move(F.Region);
-  }
+  MicroFixture F(Case.Width, Case.HiddenLayers, ActivationKind::Relu,
+                 Case.LeNet);
+  const Network &Net = F.Net;
+  const Box &Region = F.Region;
   CexSearchResult Result;
   Result.Case = Case;
   Result.Repeats = std::max(1, Repeats);

@@ -144,6 +144,9 @@ struct MicroDomainCase {
   /// Hidden activation: smooth kinds route the propagation through the
   /// parallel-line relaxation transformers instead of the ReLU case split.
   ActivationKind Act = ActivationKind::Relu;
+  /// makeLeNet over a one-channel Width x Width image instead of an MLP
+  /// (HiddenLayers is then 0).
+  bool LeNet = false;
 };
 
 /// Measurement of one micro-domain case.
@@ -163,7 +166,8 @@ struct MicroDomainResult {
 };
 
 /// The default tracked case set: zonotope / interval / powerset propagation
-/// through Dense+ReLU stacks at widths from ACAS-scale up to 512 units.
+/// through Dense+ReLU stacks at widths from ACAS-scale up to 512 units, plus
+/// the mnist_conv-shaped LeNet.
 std::vector<MicroDomainCase> defaultMicroDomainCases();
 
 /// Runs one case: builds the seeded network, times \p Repeats propagations

@@ -2,9 +2,16 @@
 
 #include "abstract/AbstractElement.h"
 
+#include "nn/Conv2D.h"
+
 using namespace charon;
 
 AbstractElement::~AbstractElement() = default;
+
+void AbstractElement::applyConv(const Conv2DLayer &L) {
+  AffineView View = *L.affineForm();
+  applyAffine(*View.W, *View.B);
+}
 
 Box AbstractElement::toBox() const {
   size_t N = dim();

@@ -24,6 +24,7 @@
 #include <memory>
 
 namespace charon {
+class Conv2DLayer;
 
 /// An element of a numeric abstract domain over R^n.
 ///
@@ -42,6 +43,11 @@ public:
 
   /// Abstract transformer for y = W x + b.
   virtual void applyAffine(const Matrix &W, const Vector &B) = 0;
+
+  /// Abstract transformer for a 2-D convolution layer. The default applies
+  /// the layer's dense lowering through applyAffine; a domain with a
+  /// cheaper exact path overrides it (the zonotope runs the tap plan).
+  virtual void applyConv(const Conv2DLayer &L);
 
   /// Abstract transformer for an element-wise activation applied to the
   /// coordinate range [\p Begin, \p End); coordinates outside the range pass

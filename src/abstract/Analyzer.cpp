@@ -7,6 +7,7 @@
 #include "abstract/PolyhedraElement.h"
 #include "abstract/SymbolicIntervalElement.h"
 #include "abstract/ZonotopeElement.h"
+#include "nn/Conv2D.h"
 #include "nn/Residual.h"
 #include "support/Check.h"
 
@@ -68,6 +69,10 @@ bool charon::propagate(const Network &Net, AbstractElement &Elem,
     const Layer &L = Net.layer(I);
     if (L.isIdentity())
       continue; // Flatten / Reshape: identity on the flat vector.
+    if (L.kind() == LayerKind::Conv2D) {
+      Elem.applyConv(static_cast<const Conv2DLayer &>(L));
+      continue;
+    }
     if (auto Affine = L.affineForm()) {
       Elem.applyAffine(*Affine->W, *Affine->B);
       continue;

@@ -43,6 +43,13 @@ void PowersetElement::applyAffine(const Matrix &W, const Vector &B) {
     Base->applyAffine(W, B);
 }
 
+void PowersetElement::applyConv(const Conv2DLayer &L) {
+  for (auto &E : Elems)
+    E->applyConv(L);
+  if (Base)
+    Base->applyConv(L);
+}
+
 void PowersetElement::applyActivation(ActivationKind K, size_t Begin,
                                       size_t End) {
   // Case splits only help where the activation has a kink: ReLU crossing

@@ -32,6 +32,7 @@
 
 #include "linalg/KernelsF32.h"
 #include "nn/Activation.h"
+#include "nn/Conv2D.h"
 
 #include <algorithm>
 #include <cassert>
@@ -133,65 +134,122 @@ void ZonotopeElement::materializeSparsePrefix(size_t Prefix) {
   Sparse.erase(Sparse.begin(), Sparse.begin() + static_cast<long>(Prefix));
 }
 
-void ZonotopeElement::applyAffineF32(const Matrix &W) {
-  size_t M = W.rows();
+namespace {
+
+/// A dense affine layer y = W x + b as the zonotope's affine step sees it.
+struct MatrixOp {
+  const Matrix &W;
+  const Vector &B;
+
+  size_t outDim() const { return W.rows(); }
+  void dense(const Matrix &G, Matrix &C) const {
+    kernels::matMulTransposedInto(G, W, C, 0);
+  }
+  void oneHots(const std::vector<kernels::OneHot> &S, Matrix &C,
+               size_t Offset) const {
+    kernels::oneHotMatMulInto(S, W, C, Offset);
+  }
+  void denseF(const MatrixF &G, MatrixF &C) const {
+    kernels::matMulTransposedIntoF(G, kernels::toFloat32(W), C, 0);
+  }
+  void oneHotsF(const std::vector<kernels::OneHot> &S, MatrixF &C,
+                size_t Offset, Vector &Err) const {
+    kernels::oneHotMatMulIntoF(S, W, C, Offset, Err);
+  }
+  Vector pad(const Vector &V) const { return kernels::float32AffinePad(W, V); }
+  Vector center(const Vector &C) const {
+    Vector Y = matVec(W, C);
+    Y += B;
+    return Y;
+  }
+};
+
+/// A convolution through its tap plan: the same map as its lowering, at
+/// one multiply-add per real tap.
+struct ConvOp {
+  const Conv2DLayer &L;
+  const kernels::ConvTapPlan &P;
+
+  size_t outDim() const { return L.outputSize(); }
+  void dense(const Matrix &G, Matrix &C) const {
+    kernels::convTapsRowsInto(P, G, C, 0);
+  }
+  void oneHots(const std::vector<kernels::OneHot> &S, Matrix &C,
+               size_t Offset) const {
+    kernels::oneHotConvInto(S, P, C, Offset);
+  }
+  void denseF(const MatrixF &G, MatrixF &C) const {
+    kernels::convTapsRowsIntoF(P, G, C, 0);
+  }
+  void oneHotsF(const std::vector<kernels::OneHot> &S, MatrixF &C,
+                size_t Offset, Vector &Err) const {
+    kernels::oneHotConvIntoF(S, P, C, Offset, Err);
+  }
+  Vector pad(const Vector &V) const { return kernels::float32ConvPad(P, V); }
+  Vector center(const Vector &C) const { return L.forward(C); }
+};
+
+} // namespace
+
+template <typename LinearOp>
+void ZonotopeElement::applyLinear(const LinearOp &Op) {
+  size_t M = Op.outDim();
   size_t N = dim();
-  size_t Gd = DenseF.rows();
+  if (Prec == KernelPrecision::Float32) {
+    size_t Gd = DenseF.rows();
+    // Error budget first (it needs the pre-transform column masses):
+    // V_k = Pad_k + Gamma * ColMass_k bounds, per input coordinate, the old
+    // pad plus every float dot's rounding attributable to that coordinate;
+    // pushing V through |W| (outward-rounded) yields the dense part of the
+    // new pad.
+    Vector Eff = kernels::absColumnSumsF(DenseF);
+    for (const SparseGenerator &S : Sparse)
+      Eff[S.Coord] += std::fabs(S.Mag);
+    double Gamma = kernels::float32Gamma(N);
+    double EffTerms = static_cast<double>(Gd + Sparse.size()) + 2.0;
+    Vector V(N);
+    for (size_t K = 0; K < N; ++K)
+      V[K] = Pad[K] + Gamma * kernels::roundOut(Eff[K], EffTerms);
+    Vector NewPad = Op.pad(V);
 
-  // Error budget first (it needs the pre-transform column masses):
-  // V_k = Pad_k + Gamma * ColMass_k bounds, per input coordinate, the old
-  // pad plus every float dot's rounding attributable to that coordinate;
-  // pushing V through |W| (float32AffinePad, outward-rounded) yields the
-  // dense part of the new pad.
-  Vector Eff = kernels::absColumnSumsF(DenseF);
-  for (const SparseGenerator &S : Sparse)
-    Eff[S.Coord] += std::fabs(S.Mag);
-  double Gamma = kernels::float32Gamma(N);
-  double EffTerms = static_cast<double>(Gd + Sparse.size()) + 2.0;
-  Vector V(N);
-  for (size_t K = 0; K < N; ++K)
-    V[K] = Pad[K] + Gamma * kernels::roundOut(Eff[K], EffTerms);
-  Vector NewPad = kernels::float32AffinePad(W, V);
+    MatrixF NewDense = MatrixF::uninit(Gd + Sparse.size(), M);
+    Op.denseF(DenseF, NewDense);
 
-  MatrixF WF = kernels::toFloat32(W);
-  MatrixF NewDense = MatrixF::uninit(Gd + Sparse.size(), M);
-  kernels::matMulTransposedIntoF(DenseF, WF, NewDense, 0);
+    // The one-hot tail converts exactly-tracked: its per-coordinate
+    // double->float losses land in Err and join the pad.
+    Vector Err(M);
+    Op.oneHotsF(Sparse, NewDense, Gd, Err);
+    double ErrTerms = static_cast<double>(Sparse.size()) + 2.0;
+    for (size_t R = 0; R < M; ++R)
+      if (Err[R] != 0.0)
+        NewPad[R] += kernels::roundOut(Err[R], ErrTerms);
 
-  // The one-hot tail converts exactly-tracked: its per-coordinate
-  // double->float losses land in Err and join the pad.
-  Vector Err(M);
-  kernels::oneHotMatMulIntoF(Sparse, W, NewDense, Gd, Err);
-  double ErrTerms = static_cast<double>(Sparse.size()) + 2.0;
-  for (size_t R = 0; R < M; ++R)
-    if (Err[R] != 0.0)
-      NewPad[R] += kernels::roundOut(Err[R], ErrTerms);
-
-  DenseF = std::move(NewDense);
-  Pad = std::move(NewPad);
+    DenseF = std::move(NewDense);
+    Pad = std::move(NewPad);
+  } else {
+    size_t Gd = Dense.rows();
+    // All dense generators go through one product; each sparse one-hot
+    // mu * e_c densifies to the scaled column mu * W(:, c) without ever
+    // materializing the one-hot rows. The two kernels together write every
+    // element, so the buffer starts uninitialized.
+    Matrix NewDense = Matrix::uninit(Gd + Sparse.size(), M);
+    Op.dense(Dense, NewDense);
+    Op.oneHots(Sparse, NewDense, Gd);
+    Dense = std::move(NewDense);
+  }
   Sparse.clear();
+  Center = Op.center(Center);
+  invalidateRadii();
 }
 
 void ZonotopeElement::applyAffine(const Matrix &W, const Vector &B) {
   assert(W.cols() == dim() && "affine shape mismatch");
-  if (Prec == KernelPrecision::Float32) {
-    applyAffineF32(W);
-  } else {
-    size_t M = W.rows();
-    size_t Gd = Dense.rows();
-    // All dense generators go through one blocked W * G^T product; each
-    // sparse one-hot mu * e_c densifies to the scaled column mu * W(:, c)
-    // without ever materializing the one-hot rows. The two kernels together
-    // write every element, so the buffer starts uninitialized.
-    Matrix NewDense = Matrix::uninit(Gd + Sparse.size(), M);
-    kernels::matMulTransposedInto(Dense, W, NewDense, 0);
-    kernels::oneHotMatMulInto(Sparse, W, NewDense, Gd);
-    Dense = std::move(NewDense);
-    Sparse.clear();
-  }
+  applyLinear(MatrixOp{W, B});
+}
 
-  Center = matVec(W, Center);
-  Center += B;
-  invalidateRadii();
+void ZonotopeElement::applyConv(const Conv2DLayer &L) {
+  assert(L.inputSize() == dim() && "conv shape mismatch");
+  applyLinear(ConvOp{L, L.tapPlan()});
 }
 
 void ZonotopeElement::applyActivation(ActivationKind K, size_t Begin,

@@ -22,7 +22,8 @@
 /// (coordinate, magnitude) pairs until the next affine layer densifies them.
 /// All transformers are batched kernels over this layout (linalg/Kernels.h):
 /// applyAffine is one blocked G x N x M product plus one sparse
-/// oneHotMatMulInto pass, activations one fused column-rescale sweep,
+/// oneHotMatMulInto pass (applyConv the same two steps through the layer's
+/// tap plan), activations one fused column-rescale sweep,
 /// applyMaxPool one column gather that materializes only the *prefix* of the
 /// sparse tail feeding overlapping windows (non-overlapping pools never
 /// densify the tail at all). Per-coordinate deviation radii are cached and
@@ -83,6 +84,11 @@ public:
   size_t dim() const override { return Center.size(); }
 
   void applyAffine(const Matrix &W, const Vector &B) override;
+  /// The convolution's exact affine image through its tap plan, never its
+  /// dense lowering: dense generator rows run the bias-free tap walk,
+  /// one-hots scatter through the plan's input-to-position index, and the
+  /// center takes the layer's forward pass. Both precisions.
+  void applyConv(const Conv2DLayer &L) override;
   void applyActivation(ActivationKind K, size_t Begin, size_t End) override;
   void applyMaxPool(const PoolSpec &Spec) override;
 
@@ -136,7 +142,9 @@ private:
   const Vector &radii() const;
   void invalidateRadii() { RadiiValid = false; }
 
-  void applyAffineF32(const Matrix &W);
+  /// The affine step shared by applyAffine and applyConv; \p Op supplies
+  /// the linear map's kernels (see the operator structs in the .cpp).
+  template <typename LinearOp> void applyLinear(const LinearOp &Op);
 
   /// Densifies the sparse prefix [0, Prefix) into the dense block
   /// (mode-appropriate storage), leaving [Prefix, end) in place.

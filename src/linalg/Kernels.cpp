@@ -65,16 +65,18 @@ unsigned kernels::kernelThreads() {
 }
 
 void kernels::parallelFor(size_t N, size_t CostPerItem,
-                          const std::function<void(size_t, size_t)> &Body) {
+                          const std::function<void(size_t, size_t)> &Body,
+                          size_t MinPerShard) {
   if (N == 0)
     return;
   unsigned Threads = kernelThreads();
   size_t Cost = N * std::max<size_t>(1, CostPerItem);
-  if (Threads <= 1 || Cost < parallelThreshold()) {
+  size_t Shards =
+      std::min<size_t>(Threads, N / std::max<size_t>(1, MinPerShard));
+  if (Shards <= 1 || Cost < parallelThreshold()) {
     Body(0, N);
     return;
   }
-  size_t Shards = std::min<size_t>(Threads, N);
   kernelPool().parallelShards(Shards, [&Body, N, Shards](size_t S) {
     size_t Begin = N * S / Shards;
     size_t End = N * (S + 1) / Shards;
@@ -148,16 +150,21 @@ void mmtRowsScalar(const Matrix &A, const Matrix &B, Matrix &C,
 }
 
 /// Row block [Begin, End) of Out(i, j) = dot(X.row(i), W.row(j)) + b_j.
-/// Same structure as mmtRowsScalar (resident X row, 4-wide j-unroll,
-/// ascending-k accumulation); the bias lands after the full dot (the Dense
-/// order).
+/// Rows run in pairs: two resident X rows against a 4-wide j-unroll (eight
+/// independent accumulators), so each W row streams once per pair instead
+/// of once per row. Every dot still accumulates in ascending-k order and the
+/// bias lands after the full dot (the Dense order), so each output keeps
+/// matVec's bits; an odd last row takes the single-row body.
 void affineRowsScalar(const Matrix &X, const Matrix &W, const double *Bias,
                       Matrix &Out, size_t Begin, size_t End) {
   const size_t K = X.cols();
   const size_t N = W.rows();
-  for (size_t I = Begin; I < End; ++I) {
-    const double *XRow = X.row(I);
-    double *ORow = Out.row(I);
+  size_t I = Begin;
+  for (; I + 2 <= End; I += 2) {
+    const double *X0 = X.row(I);
+    const double *X1 = X.row(I + 1);
+    double *O0 = Out.row(I);
+    double *O1 = Out.row(I + 1);
     size_t J = 0;
     for (; J + 4 <= N; J += 4) {
       const double *W0 = W.row(J);
@@ -165,27 +172,82 @@ void affineRowsScalar(const Matrix &X, const Matrix &W, const double *Bias,
       const double *W2 = W.row(J + 2);
       const double *W3 = W.row(J + 3);
       double S0 = 0.0, S1 = 0.0, S2 = 0.0, S3 = 0.0;
+      double T0 = 0.0, T1 = 0.0, T2 = 0.0, T3 = 0.0;
       for (size_t Kk = 0; Kk < K; ++Kk) {
-        double Xv = XRow[Kk];
+        double Xv = X0[Kk], Yv = X1[Kk];
         S0 += Xv * W0[Kk];
+        T0 += Yv * W0[Kk];
         S1 += Xv * W1[Kk];
+        T1 += Yv * W1[Kk];
         S2 += Xv * W2[Kk];
+        T2 += Yv * W2[Kk];
         S3 += Xv * W3[Kk];
+        T3 += Yv * W3[Kk];
       }
-      ORow[J] = S0 + Bias[J];
-      ORow[J + 1] = S1 + Bias[J + 1];
-      ORow[J + 2] = S2 + Bias[J + 2];
-      ORow[J + 3] = S3 + Bias[J + 3];
+      O0[J] = S0 + Bias[J];
+      O0[J + 1] = S1 + Bias[J + 1];
+      O0[J + 2] = S2 + Bias[J + 2];
+      O0[J + 3] = S3 + Bias[J + 3];
+      O1[J] = T0 + Bias[J];
+      O1[J + 1] = T1 + Bias[J + 1];
+      O1[J + 2] = T2 + Bias[J + 2];
+      O1[J + 3] = T3 + Bias[J + 3];
     }
-    for (; J < N; ++J)
-      ORow[J] = dotScalar(XRow, W.row(J), K) + Bias[J];
+    for (; J < N; ++J) {
+      const double *WRow = W.row(J);
+      double S = 0.0, T = 0.0;
+      for (size_t Kk = 0; Kk < K; ++Kk) {
+        S += X0[Kk] * WRow[Kk];
+        T += X1[Kk] * WRow[Kk];
+      }
+      O0[J] = S + Bias[J];
+      O1[J] = T + Bias[J];
+    }
+  }
+  if (I == End)
+    return;
+  const double *XRow = X.row(I);
+  double *ORow = Out.row(I);
+  size_t J = 0;
+  for (; J + 4 <= N; J += 4) {
+    const double *W0 = W.row(J);
+    const double *W1 = W.row(J + 1);
+    const double *W2 = W.row(J + 2);
+    const double *W3 = W.row(J + 3);
+    double S0 = 0.0, S1 = 0.0, S2 = 0.0, S3 = 0.0;
+    for (size_t Kk = 0; Kk < K; ++Kk) {
+      double Xv = XRow[Kk];
+      S0 += Xv * W0[Kk];
+      S1 += Xv * W1[Kk];
+      S2 += Xv * W2[Kk];
+      S3 += Xv * W3[Kk];
+    }
+    ORow[J] = S0 + Bias[J];
+    ORow[J + 1] = S1 + Bias[J + 1];
+    ORow[J + 2] = S2 + Bias[J + 2];
+    ORow[J + 3] = S3 + Bias[J + 3];
+  }
+  for (; J < N; ++J)
+    ORow[J] = dotScalar(XRow, W.row(J), K) + Bias[J];
+}
+
+/// saxpyScalar's update on two rows sharing one X stream: Y0[i] += A0 *
+/// X[i] and Y1[i] += A1 * X[i], each element with its own single mul + add.
+void saxpyPairScalar(double *Y0, double *Y1, const double *X, double A0,
+                     double A1, size_t N) {
+  for (size_t I = 0; I < N; ++I) {
+    double Xv = X[I];
+    Y0[I] += A0 * Xv;
+    Y1[I] += A1 * Xv;
   }
 }
 
 /// Rows [Begin, End) of C = A * B in i-k-j order with column panels: the
 /// inner j-loop stays contiguous in both B and C, and panelling bounds the
 /// active B working set. Per-element accumulation remains ascending in k
-/// (panels reorder work across elements, never within one).
+/// (panels reorder work across elements, never within one). Rows run in
+/// pairs so each B panel row streams once per pair; a row whose A entry is
+/// zero skips that k exactly as it does alone.
 void matMulRowsScalar(const Matrix &A, const Matrix &B, Matrix &C,
                       size_t Begin, size_t End) {
   const size_t NK = A.cols();
@@ -193,15 +255,60 @@ void matMulRowsScalar(const Matrix &A, const Matrix &B, Matrix &C,
   constexpr size_t PanelCols = 256;
   for (size_t JB = 0; JB < NJ; JB += PanelCols) {
     size_t JE = std::min(NJ, JB + PanelCols);
-    for (size_t I = Begin; I < End; ++I) {
-      double *CRow = C.row(I);
-      const double *ARow = A.row(I);
+    size_t I = Begin;
+    for (; I + 2 <= End; I += 2) {
+      double *C0 = C.row(I) + JB;
+      double *C1 = C.row(I + 1) + JB;
+      const double *A0 = A.row(I);
+      const double *A1 = A.row(I + 1);
       for (size_t K = 0; K < NK; ++K) {
-        double Aik = ARow[K];
-        if (Aik == 0.0)
-          continue;
-        saxpyScalar(CRow + JB, B.row(K) + JB, Aik, JE - JB);
+        double V0 = A0[K], V1 = A1[K];
+        const double *BRow = B.row(K) + JB;
+        if (V0 != 0.0 && V1 != 0.0)
+          saxpyPairScalar(C0, C1, BRow, V0, V1, JE - JB);
+        else if (V0 != 0.0)
+          saxpyScalar(C0, BRow, V0, JE - JB);
+        else if (V1 != 0.0)
+          saxpyScalar(C1, BRow, V1, JE - JB);
       }
+    }
+    if (I == End)
+      continue;
+    double *CRow = C.row(I);
+    const double *ARow = A.row(I);
+    for (size_t K = 0; K < NK; ++K) {
+      double Aik = ARow[K];
+      if (Aik == 0.0)
+        continue;
+      saxpyScalar(CRow + JB, B.row(K) + JB, Aik, JE - JB);
+    }
+  }
+}
+
+/// One point through the tap plan, channels in blocks of up to 16 held in
+/// local accumulators: each output starts at its bias and takes one
+/// multiply then one add per tap in tap order.
+void convTapsRowScalar(const kernels::ConvTapPlan &P, const double *In,
+                       const double *Bias, double *Out) {
+  constexpr size_t Block = 16;
+  const size_t NC = P.Channels, St = P.Stride;
+  const double *FilterT = P.FilterT.data();
+  for (size_t Pos = 0; Pos < P.Positions; ++Pos) {
+    const kernels::Tap *T = P.Taps.data() + P.Begin[Pos];
+    const size_t NT = P.Begin[Pos + 1] - P.Begin[Pos];
+    for (size_t CB = 0; CB < NC; CB += Block) {
+      const size_t NB = std::min(Block, NC - CB);
+      double Acc[Block];
+      for (size_t C = 0; C < NB; ++C)
+        Acc[C] = Bias ? Bias[CB + C] : 0.0;
+      for (size_t I = 0; I < NT; ++I) {
+        const double X = In[T[I].In];
+        const double *W = FilterT + T[I].K * St + CB;
+        for (size_t C = 0; C < NB; ++C)
+          Acc[C] += W[C] * X;
+      }
+      for (size_t C = 0; C < NB; ++C)
+        Out[(CB + C) * P.Positions + Pos] = Acc[C];
     }
   }
 }
@@ -265,6 +372,7 @@ const kernels::detail::SimdOps ScalarTable = {
     mmtRowsScalar,
     affineRowsScalar,
     matMulRowsScalar,
+    convTapsRowScalar,
     scaleColumnsRowsScalar,
     reluRowsScalar,
     reluBackwardRowsScalar,
@@ -294,10 +402,15 @@ void kernels::matMulTransposedInto(const Matrix &A, const Matrix &B, Matrix &C,
   assert(C.cols() == B.rows() && RowOffset + A.rows() <= C.rows() &&
          "matMulTransposed destination too small");
   const detail::SimdOps &Ops = detail::activeOps();
-  parallelFor(A.rows(), 2 * A.cols() * B.rows(),
-              [&A, &B, &C, RowOffset, &Ops](size_t Begin, size_t End) {
-                Ops.MmtRows(A, B, C, RowOffset, Begin, End);
-              });
+  // Every shard packs all of B, so a shard is worth at least one 4-row
+  // microkernel block: six generator rows run serial instead of paying four
+  // packs for one block's work.
+  parallelFor(
+      A.rows(), 2 * A.cols() * B.rows(),
+      [&A, &B, &C, RowOffset, &Ops](size_t Begin, size_t End) {
+        Ops.MmtRows(A, B, C, RowOffset, Begin, End);
+      },
+      /*MinPerShard=*/4);
 }
 
 Matrix kernels::matMulTransposed(const Matrix &A, const Matrix &B) {
@@ -463,6 +576,31 @@ void kernels::oneHotMatMulInto(const std::vector<OneHot> &Sparse,
               });
 }
 
+void kernels::oneHotConvInto(const std::vector<OneHot> &Sparse,
+                             const ConvTapPlan &P, Matrix &C,
+                             size_t RowOffset) {
+  assert(C.cols() == P.Channels * P.Positions &&
+         RowOffset + Sparse.size() <= C.rows() &&
+         "oneHotConvInto destination too small");
+  parallelFor(Sparse.size(), C.cols(),
+              [&Sparse, &P, &C, RowOffset](size_t Begin, size_t End) {
+                for (size_t S = Begin; S < End; ++S) {
+                  const OneHot &G = Sparse[S];
+                  assert(G.Coord < P.Inputs && "one-hot coordinate range");
+                  double *Row = C.row(RowOffset + S);
+                  std::fill(Row, Row + C.cols(), 0.0);
+                  for (size_t U = P.UseBegin[G.Coord],
+                              UE = P.UseBegin[G.Coord + 1];
+                       U < UE; ++U) {
+                    const double *W = P.FilterT.data() + P.Uses[U].K * P.Stride;
+                    double *Out = Row + P.Uses[U].In;
+                    for (size_t Ch = 0; Ch < P.Channels; ++Ch)
+                      Out[Ch * P.Positions] = G.Mag * W[Ch];
+                  }
+                }
+              });
+}
+
 void kernels::oneHotRowSumsInto(const std::vector<OneHot> &Sparse, Vector &Out,
                                 size_t RowOffset) {
   assert(RowOffset + Sparse.size() <= Out.size() &&
@@ -488,6 +626,23 @@ Vector charon::matVec(const Matrix &A, const Vector &X) {
 void kernels::tapAxpy(double *Y, const double *W, const Tap *Taps, size_t N,
                       double A) {
   detail::activeOps().TapSaxpy(Y, W, Taps, N, A);
+}
+
+void kernels::convTapsRow(const ConvTapPlan &P, const double *In,
+                          const double *Bias, double *Out) {
+  detail::activeOps().ConvTapsRow(P, In, Bias, Out);
+}
+
+void kernels::convTapsRowsInto(const ConvTapPlan &P, const Matrix &X,
+                               Matrix &C, size_t RowOffset) {
+  assert(X.cols() == P.Inputs && C.cols() == P.Channels * P.Positions &&
+         RowOffset + X.rows() <= C.rows() && "convTapsRowsInto shape mismatch");
+  const detail::SimdOps &Ops = detail::activeOps();
+  parallelFor(X.rows(), 2 * P.Channels * P.Taps.size(),
+              [&P, &X, &C, RowOffset, &Ops](size_t Begin, size_t End) {
+                for (size_t I = Begin; I < End; ++I)
+                  Ops.ConvTapsRow(P, X.row(I), nullptr, C.row(RowOffset + I));
+              });
 }
 
 Vector charon::matTVec(const Matrix &A, const Vector &X) {

@@ -55,8 +55,13 @@ unsigned kernelThreads();
 /// N * CostPerItem < parallelThreshold(); otherwise shards contiguously
 /// across the kernel pool (the shard layout depends only on N and the pool
 /// size, keeping runs deterministic).
+///
+/// \p MinPerShard caps the shard count at N / MinPerShard (at least one), for
+/// bodies with a fixed per-shard cost worth at least that many items (the
+/// AVX2 generator product packs all of B in every shard).
 void parallelFor(size_t N, size_t CostPerItem,
-                 const std::function<void(size_t, size_t)> &Body);
+                 const std::function<void(size_t, size_t)> &Body,
+                 size_t MinPerShard = 1);
 
 /// C = A * B^T without materializing the transpose: A is M x K, B is N x K,
 /// C is M x N with C(i,j) = dot(A.row(i), B.row(j)). This is the zonotope
@@ -108,6 +113,45 @@ struct Tap {
 /// path Dense uses.
 void tapAxpy(double *Y, const double *W, const Tap *Taps, size_t N, double A);
 
+/// A 2-D convolution as the kernels see it: tap lists plus channel-major
+/// filters, with no window geometry. Conv2DLayer builds one per weight state.
+/// Outputs are channel-major, Out[c * Positions + p], like the layer's.
+struct ConvTapPlan {
+  size_t Inputs = 0;    ///< input coordinates
+  size_t Positions = 0; ///< output positions per channel
+  size_t Channels = 0;  ///< output channels
+  /// Row length of FilterT and BiasT: Channels rounded up to a multiple of
+  /// four, zero padded, so vector bodies load whole channel blocks.
+  size_t Stride = 0;
+  /// Taps of position p are Taps[Begin[p], Begin[p + 1]), ascending in input
+  /// index; Tap::K indexes one filter (every channel shares the list).
+  std::vector<size_t> Begin;
+  std::vector<Tap> Taps;
+  /// The transposed index: the positions input i feeds are
+  /// Uses[UseBegin[i], UseBegin[i + 1]), with Tap::In holding the *output
+  /// position* and Tap::K the filter weight. Used to scatter one-hots.
+  std::vector<size_t> UseBegin;
+  std::vector<Tap> Uses;
+  /// FilterT[K * Stride + c] = weight K of filter c.
+  std::vector<double> FilterT;
+  /// BiasT[c] = bias of channel c.
+  std::vector<double> BiasT;
+};
+
+/// One point through a convolution: Out[c * Positions + p] starts at
+/// Bias[c] (zero when \p Bias is null) and adds FilterT[K * Stride + c] *
+/// In[In] for each tap of p in order, one multiply then one add per tap at
+/// every SIMD level (no fma), so every level gives the scalar bits. The
+/// vector body walks the taps once for all output channels.
+void convTapsRow(const ConvTapPlan &P, const double *In, const double *Bias,
+                 double *Out);
+
+/// Rows [RowOffset, RowOffset + X.rows()) of \p C = the convolution's linear
+/// part (no bias) applied to each row of \p X: the zonotope's generator
+/// update through the taps instead of the dense lowering. Sharded by rows.
+void convTapsRowsInto(const ConvTapPlan &P, const Matrix &X, Matrix &C,
+                      size_t RowOffset);
+
 //===----------------------------------------------------------------------===//
 // Sparse one-hot tail kernels
 //===----------------------------------------------------------------------===//
@@ -128,6 +172,12 @@ struct OneHot {
 void oneHotMatMulInto(const std::vector<OneHot> &Sparse, const Matrix &W,
                       Matrix &C, size_t RowOffset);
 
+/// oneHotMatMulInto for a convolution's linear part: row RowOffset + s is
+/// zero except where input Sparse[s].Coord feeds an output, which gets the
+/// single product Mag * weight (the bits the dense lowering gives there).
+void oneHotConvInto(const std::vector<OneHot> &Sparse, const ConvTapPlan &P,
+                    Matrix &C, size_t RowOffset);
+
 /// Per-generator L1 norms of the one-hot tail: Out[RowOffset + s] =
 /// |Sparse[s].Mag| (each virtual row has a single entry). The sparse
 /// counterpart of absRowSums.
@@ -142,7 +192,8 @@ void oneHotRowSumsInto(const std::vector<OneHot> &Sparse, Vector &Out,
 /// the bias added after the full dot exactly as Dense::forward does (matVec
 /// then Y += B). X is B x K (one input point per row), W is N x K, Out is
 /// B x N. Each dot uses the active backend's matVec scheme, so every output
-/// element is bit-identical to the per-point pass. Sharded by batch rows.
+/// element is bit-identical to the per-point pass. Sharded by batch rows;
+/// within a shard the rows run in pairs, so each W row streams once per pair.
 Matrix affineBatch(const Matrix &X, const Matrix &W, const Vector &Bias);
 
 /// Batched ReLU forward: Out(i, j) = X(i, j) > 0 ? X(i, j) : 0, replicating

@@ -7,12 +7,23 @@
 // dispatch layer keeps running scalar.
 //
 // Scheme notes (see SimdOpsImpl.h for the contracts):
-//  - dotAvx2 is ONE function shared by Dot and AffineRows, so every dot at
+//  - dotAvx2 is ONE scheme shared by Dot and AffineRows, so every dot at
 //    this level uses the identical accumulation tree regardless of which
-//    public kernel asked for it.
+//    public kernel asked for it. AffineRows takes rows in pairs through
+//    dotPairAvx2, which interleaves two copies of that tree over one
+//    shared weight-row load; each copy's chains, drains, hsum and fma tail
+//    are dotAvx2's.
 //  - saxpyAvx2 applies exactly one fma per element (vector body and scalar
 //    tail both), making it position-independent: matMul may call it per
 //    column panel and still match matTVec's whole-row calls bitwise.
+//    MatMulRows pairs rows through saxpyPairAvx2: the same single fma per
+//    element per row over one shared B-row load, and a row whose A entry
+//    is zero falls back to saxpyAvx2 for the other row alone.
+//  - convTapsRowAvx2 walks each position's taps once for all output
+//    channels (channel blocks of up to sixteen in four accumulators) with
+//    _mm256_mul_pd then _mm256_add_pd. This file is built with
+//    -ffp-contract=off, so the pair never fuses into an fma and every
+//    output keeps the scalar body's bias-first bits.
 //  - mmtRowsAvx2 packs eight B rows into an interleaved panel and runs a
 //    4-row x 8-column broadcast microkernel (8 accumulators, 14 live
 //    registers — small enough that GCC never spills). It only promises
@@ -88,6 +99,58 @@ double dotAvx2(const double *A, const double *B, size_t N) {
   return Sum;
 }
 
+/// dotAvx2 for two rows against one shared B stream: each row keeps its
+/// own four chains, drain order, hsum tree and fma tail, so both results
+/// are bitwise dotAvx2(A0, B, N) and dotAvx2(A1, B, N) while B is loaded
+/// once.
+inline void dotPairAvx2(const double *A0, const double *A1, const double *B,
+                        size_t N, double &Out0, double &Out1) {
+  __m256d S0 = _mm256_setzero_pd(), T0 = _mm256_setzero_pd();
+  __m256d S1 = _mm256_setzero_pd(), T1 = _mm256_setzero_pd();
+  __m256d S2 = _mm256_setzero_pd(), T2 = _mm256_setzero_pd();
+  __m256d S3 = _mm256_setzero_pd(), T3 = _mm256_setzero_pd();
+  size_t I = 0;
+  for (; I + 16 <= N; I += 16) {
+    __m256d B0 = _mm256_loadu_pd(B + I);
+    __m256d B1 = _mm256_loadu_pd(B + I + 4);
+    __m256d B2 = _mm256_loadu_pd(B + I + 8);
+    __m256d B3 = _mm256_loadu_pd(B + I + 12);
+    S0 = _mm256_fmadd_pd(_mm256_loadu_pd(A0 + I), B0, S0);
+    T0 = _mm256_fmadd_pd(_mm256_loadu_pd(A1 + I), B0, T0);
+    S1 = _mm256_fmadd_pd(_mm256_loadu_pd(A0 + I + 4), B1, S1);
+    T1 = _mm256_fmadd_pd(_mm256_loadu_pd(A1 + I + 4), B1, T1);
+    S2 = _mm256_fmadd_pd(_mm256_loadu_pd(A0 + I + 8), B2, S2);
+    T2 = _mm256_fmadd_pd(_mm256_loadu_pd(A1 + I + 8), B2, T2);
+    S3 = _mm256_fmadd_pd(_mm256_loadu_pd(A0 + I + 12), B3, S3);
+    T3 = _mm256_fmadd_pd(_mm256_loadu_pd(A1 + I + 12), B3, T3);
+  }
+  if (I + 8 <= N) {
+    __m256d B0 = _mm256_loadu_pd(B + I);
+    __m256d B1 = _mm256_loadu_pd(B + I + 4);
+    S0 = _mm256_fmadd_pd(_mm256_loadu_pd(A0 + I), B0, S0);
+    T0 = _mm256_fmadd_pd(_mm256_loadu_pd(A1 + I), B0, T0);
+    S1 = _mm256_fmadd_pd(_mm256_loadu_pd(A0 + I + 4), B1, S1);
+    T1 = _mm256_fmadd_pd(_mm256_loadu_pd(A1 + I + 4), B1, T1);
+    I += 8;
+  }
+  if (I + 4 <= N) {
+    __m256d B0 = _mm256_loadu_pd(B + I);
+    S0 = _mm256_fmadd_pd(_mm256_loadu_pd(A0 + I), B0, S0);
+    T0 = _mm256_fmadd_pd(_mm256_loadu_pd(A1 + I), B0, T0);
+    I += 4;
+  }
+  double Sum0 =
+      hsum(_mm256_add_pd(_mm256_add_pd(S0, S2), _mm256_add_pd(S1, S3)));
+  double Sum1 =
+      hsum(_mm256_add_pd(_mm256_add_pd(T0, T2), _mm256_add_pd(T1, T3)));
+  for (; I < N; ++I) {
+    Sum0 = std::fma(A0[I], B[I], Sum0);
+    Sum1 = std::fma(A1[I], B[I], Sum1);
+  }
+  Out0 = Sum0;
+  Out1 = Sum1;
+}
+
 /// Elementwise-position-independent saxpy: Y[i] = fma(A, X[i], Y[i]) via a
 /// 4-wide vector body and a scalar std::fma tail.
 void saxpyAvx2(double *Y, const double *X, double A, size_t N) {
@@ -99,6 +162,26 @@ void saxpyAvx2(double *Y, const double *X, double A, size_t N) {
                                _mm256_loadu_pd(Y + I)));
   for (; I < N; ++I)
     Y[I] = std::fma(A, X[I], Y[I]);
+}
+
+/// saxpyAvx2 on two rows sharing one X stream: Y0[i] = fma(A0, X[i], Y0[i])
+/// and Y1[i] = fma(A1, X[i], Y1[i]), one fma per element per row.
+void saxpyPairAvx2(double *Y0, double *Y1, const double *X, double A0,
+                   double A1, size_t N) {
+  __m256d V0 = _mm256_set1_pd(A0);
+  __m256d V1 = _mm256_set1_pd(A1);
+  size_t I = 0;
+  for (; I + 4 <= N; I += 4) {
+    __m256d Xv = _mm256_loadu_pd(X + I);
+    _mm256_storeu_pd(Y0 + I,
+                     _mm256_fmadd_pd(V0, Xv, _mm256_loadu_pd(Y0 + I)));
+    _mm256_storeu_pd(Y1 + I,
+                     _mm256_fmadd_pd(V1, Xv, _mm256_loadu_pd(Y1 + I)));
+  }
+  for (; I < N; ++I) {
+    Y0[I] = std::fma(A0, X[I], Y0[I]);
+    Y1[I] = std::fma(A1, X[I], Y1[I]);
+  }
 }
 
 /// saxpyAvx2's per-element fma at scattered positions.
@@ -289,12 +372,26 @@ void mmtRowsAvx2(const Matrix &A, const Matrix &B, Matrix &C, size_t RowOffset,
 }
 
 /// Affine rows: every output element is dotAvx2 + bias, so the batched
-/// path matches the per-point matVec at this level bit-for-bit.
+/// path matches the per-point matVec at this level bit-for-bit. Rows run in
+/// pairs through dotPairAvx2, reading each W row once per pair.
 void affineRowsAvx2(const Matrix &X, const Matrix &W, const double *Bias,
                     Matrix &Out, size_t Begin, size_t End) {
   const size_t K = X.cols();
   const size_t N = W.rows();
-  for (size_t I = Begin; I < End; ++I) {
+  size_t I = Begin;
+  for (; I + 2 <= End; I += 2) {
+    const double *X0 = X.row(I);
+    const double *X1 = X.row(I + 1);
+    double *O0 = Out.row(I);
+    double *O1 = Out.row(I + 1);
+    for (size_t J = 0; J < N; ++J) {
+      double D0, D1;
+      dotPairAvx2(X0, X1, W.row(J), K, D0, D1);
+      O0[J] = D0 + Bias[J];
+      O1[J] = D1 + Bias[J];
+    }
+  }
+  if (I < End) {
     const double *XRow = X.row(I);
     double *ORow = Out.row(I);
     for (size_t J = 0; J < N; ++J)
@@ -302,11 +399,29 @@ void affineRowsAvx2(const Matrix &X, const Matrix &W, const double *Bias,
   }
 }
 
+/// Rows of C += A * B through saxpyAvx2, in pairs sharing each B row; a
+/// zero A entry skips only its own row's update.
 void matMulRowsAvx2(const Matrix &A, const Matrix &B, Matrix &C, size_t Begin,
                     size_t End) {
   const size_t NK = A.cols();
   const size_t NJ = B.cols();
-  for (size_t I = Begin; I < End; ++I) {
+  size_t I = Begin;
+  for (; I + 2 <= End; I += 2) {
+    double *C0 = C.row(I);
+    double *C1 = C.row(I + 1);
+    const double *A0 = A.row(I);
+    const double *A1 = A.row(I + 1);
+    for (size_t K = 0; K < NK; ++K) {
+      double V0 = A0[K], V1 = A1[K];
+      if (V0 != 0.0 && V1 != 0.0)
+        saxpyPairAvx2(C0, C1, B.row(K), V0, V1, NJ);
+      else if (V0 != 0.0)
+        saxpyAvx2(C0, B.row(K), V0, NJ);
+      else if (V1 != 0.0)
+        saxpyAvx2(C1, B.row(K), V1, NJ);
+    }
+  }
+  if (I < End) {
     double *CRow = C.row(I);
     const double *ARow = A.row(I);
     for (size_t K = 0; K < NK; ++K) {
@@ -314,6 +429,62 @@ void matMulRowsAvx2(const Matrix &A, const Matrix &B, Matrix &C, size_t Begin,
       if (Aik == 0.0)
         continue;
       saxpyAvx2(CRow, B.row(K), Aik, NJ);
+    }
+  }
+}
+
+/// NV four-channel blocks of one position, starting at channel CB: the
+/// accumulators start at the bias (or zero) and take _mm256_mul_pd then
+/// _mm256_add_pd per tap — the scalar body's two roundings per element
+/// (this file is built with -ffp-contract=off, so they never fuse).
+template <int NV>
+inline void convBlockAvx2(const kernels::ConvTapPlan &P, const Tap *T,
+                          size_t NT, const double *In, const double *Bias,
+                          size_t CB, double *Acc) {
+  __m256d S[NV];
+  for (int V = 0; V < NV; ++V)
+    S[V] = Bias ? _mm256_loadu_pd(Bias + CB + 4 * V) : _mm256_setzero_pd();
+  const double *FilterT = P.FilterT.data() + CB;
+  const size_t St = P.Stride;
+  for (size_t I = 0; I < NT; ++I) {
+    const __m256d X = _mm256_broadcast_sd(In + T[I].In);
+    const double *W = FilterT + T[I].K * St;
+    for (int V = 0; V < NV; ++V)
+      S[V] = _mm256_add_pd(S[V], _mm256_mul_pd(_mm256_loadu_pd(W + 4 * V), X));
+  }
+  for (int V = 0; V < NV; ++V)
+    _mm256_storeu_pd(Acc + 4 * V, S[V]);
+}
+
+/// The tap walk across all output channels at once: per position, channel
+/// blocks of up to sixteen (four accumulators) run over the shared tap
+/// list, then scatter to the channel-major outputs. Bias rows are padded to
+/// Stride, so the last block's spare lanes compute zeros that are dropped.
+void convTapsRowAvx2(const kernels::ConvTapPlan &P, const double *In,
+                     const double *Bias, double *Out) {
+  const size_t NC = P.Channels, St = P.Stride;
+  double Acc[16];
+  for (size_t Pos = 0; Pos < P.Positions; ++Pos) {
+    const Tap *T = P.Taps.data() + P.Begin[Pos];
+    const size_t NT = P.Begin[Pos + 1] - P.Begin[Pos];
+    for (size_t CB = 0; CB < St; CB += 16) {
+      switch ((St - CB) >= 16 ? 4 : (St - CB) / 4) {
+      case 4:
+        convBlockAvx2<4>(P, T, NT, In, Bias, CB, Acc);
+        break;
+      case 3:
+        convBlockAvx2<3>(P, T, NT, In, Bias, CB, Acc);
+        break;
+      case 2:
+        convBlockAvx2<2>(P, T, NT, In, Bias, CB, Acc);
+        break;
+      default:
+        convBlockAvx2<1>(P, T, NT, In, Bias, CB, Acc);
+        break;
+      }
+      const size_t CE = CB + 16 < NC ? CB + 16 : NC;
+      for (size_t C = CB; C < CE; ++C)
+        Out[C * P.Positions + Pos] = Acc[C - CB];
     }
   }
 }
@@ -515,6 +686,7 @@ const detail::SimdOps Avx2Table = {
     mmtRowsAvx2,
     affineRowsAvx2,
     matMulRowsAvx2,
+    convTapsRowAvx2,
     scaleColumnsRowsAvx2,
     reluRowsAvx2,
     reluBackwardRowsAvx2,

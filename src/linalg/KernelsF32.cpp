@@ -5,6 +5,7 @@
 #include "linalg/Kernels.h"
 #include "linalg/SimdOpsImpl.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cfloat>
@@ -164,6 +165,66 @@ void kernels::oneHotMatMulIntoF(const std::vector<OneHot> &Sparse,
   }
 }
 
+void kernels::convTapsRowsIntoF(const ConvTapPlan &P, const MatrixF &X,
+                                MatrixF &C, size_t RowOffset) {
+  assert(X.cols() == P.Inputs && C.cols() == P.Channels * P.Positions &&
+         RowOffset + X.rows() <= C.rows() &&
+         "convTapsRowsIntoF shape mismatch");
+  constexpr size_t Block = 16;
+  parallelFor(
+      X.rows(), 2 * P.Channels * P.Taps.size(),
+      [&P, &X, &C, RowOffset](size_t Begin, size_t End) {
+        const size_t NC = P.Channels, St = P.Stride;
+        for (size_t R = Begin; R < End; ++R) {
+          const float *In = X.row(R);
+          float *Out = C.row(RowOffset + R);
+          for (size_t Pos = 0; Pos < P.Positions; ++Pos) {
+            const Tap *T = P.Taps.data() + P.Begin[Pos];
+            const size_t NT = P.Begin[Pos + 1] - P.Begin[Pos];
+            for (size_t CB = 0; CB < NC; CB += Block) {
+              const size_t NB = NC - CB < Block ? NC - CB : Block;
+              float Acc[Block] = {};
+              for (size_t I = 0; I < NT; ++I) {
+                const float Xv = In[T[I].In];
+                const double *W = P.FilterT.data() + T[I].K * St + CB;
+                for (size_t Ch = 0; Ch < NB; ++Ch)
+                  Acc[Ch] += static_cast<float>(W[Ch]) * Xv;
+              }
+              for (size_t Ch = 0; Ch < NB; ++Ch)
+                Out[(CB + Ch) * P.Positions + Pos] = Acc[Ch];
+            }
+          }
+        }
+      });
+}
+
+void kernels::oneHotConvIntoF(const std::vector<OneHot> &Sparse,
+                              const ConvTapPlan &P, MatrixF &C,
+                              size_t RowOffset, Vector &ErrOut) {
+  assert(C.cols() == P.Channels * P.Positions &&
+         RowOffset + Sparse.size() <= C.rows() &&
+         "oneHotConvIntoF destination too small");
+  assert(ErrOut.size() == C.cols() && "oneHotConvIntoF error size mismatch");
+  // Serial for the reason oneHotMatMulIntoF is: ErrOut is shared.
+  for (size_t S = 0, NS = Sparse.size(); S < NS; ++S) {
+    const OneHot &G = Sparse[S];
+    assert(G.Coord < P.Inputs && "one-hot coordinate range");
+    float *Row = C.row(RowOffset + S);
+    std::fill(Row, Row + C.cols(), 0.0f);
+    for (size_t U = P.UseBegin[G.Coord], UE = P.UseBegin[G.Coord + 1]; U < UE;
+         ++U) {
+      const double *W = P.FilterT.data() + P.Uses[U].K * P.Stride;
+      for (size_t Ch = 0; Ch < P.Channels; ++Ch) {
+        const size_t R = Ch * P.Positions + P.Uses[U].In;
+        double Val = G.Mag * W[Ch];
+        float F = static_cast<float>(Val);
+        Row[R] = F;
+        ErrOut[R] += std::fabs(Val - static_cast<double>(F));
+      }
+    }
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Outward-rounding error model
 //===----------------------------------------------------------------------===//
@@ -224,6 +285,29 @@ Vector kernels::float32AffinePad(const Matrix &W, const Vector &V) {
                   double Sum = 0.0;
                   for (size_t Kk = 0, NK = W.cols(); Kk < NK; ++Kk)
                     Sum += std::fabs(Row[Kk]) * VData[Kk];
+                  Out[J] = roundOut(Sum, Terms) + Eta;
+                }
+              });
+  return Out;
+}
+
+Vector kernels::float32ConvPad(const ConvTapPlan &P, const Vector &V) {
+  assert(V.size() == P.Inputs && "float32ConvPad shape mismatch");
+  Vector Out(P.Channels * P.Positions);
+  const double Terms = static_cast<double>(P.Inputs) + 2.0;
+  const double Eta = float32Eta();
+  const double *VData = V.data();
+  const size_t TapsPerPosition =
+      P.Taps.size() / std::max<size_t>(1, P.Positions);
+  parallelFor(Out.size(), 2 * TapsPerPosition,
+              [&P, &Out, VData, Terms, Eta](size_t Begin, size_t End) {
+                for (size_t J = Begin; J < End; ++J) {
+                  const size_t Ch = J / P.Positions, Pos = J % P.Positions;
+                  double Sum = 0.0;
+                  for (size_t I = P.Begin[Pos], IE = P.Begin[Pos + 1]; I < IE;
+                       ++I)
+                    Sum += std::fabs(P.FilterT[P.Taps[I].K * P.Stride + Ch]) *
+                           VData[P.Taps[I].In];
                   Out[J] = roundOut(Sum, Terms) + Eta;
                 }
               });

@@ -96,6 +96,18 @@ void gatherColumnsF(const MatrixF &A, const std::vector<int> &SrcCol,
 void oneHotMatMulIntoF(const std::vector<OneHot> &Sparse, const Matrix &W,
                        MatrixF &C, size_t RowOffset, Vector &ErrOut);
 
+/// Float counterpart of convTapsRowsInto: each row of \p X through the
+/// convolution's linear part with weights rounded to float and float
+/// accumulators, taps in order. A tap-list dot has at most Inputs terms, so
+/// float32Gamma(Inputs) bounds its error as it does the lowered product's.
+void convTapsRowsIntoF(const ConvTapPlan &P, const MatrixF &X, MatrixF &C,
+                       size_t RowOffset);
+
+/// Float counterpart of oneHotConvInto with oneHotMatMulIntoF's exact
+/// conversion-error accounting into \p ErrOut (size Channels * Positions).
+void oneHotConvIntoF(const std::vector<OneHot> &Sparse, const ConvTapPlan &P,
+                     MatrixF &C, size_t RowOffset, Vector &ErrOut);
+
 //===----------------------------------------------------------------------===//
 // Outward-rounding error model
 //===----------------------------------------------------------------------===//
@@ -130,6 +142,11 @@ double float32ScaleEps();
 /// + float32Eta(), with V_k = Pad_k + float32Gamma(K) * EffColSum_k
 /// computed by the caller. One double abs-matVec, sharded by rows.
 Vector float32AffinePad(const Matrix &W, const Vector &V);
+
+/// float32AffinePad for a convolution's lowered W, summed over the taps
+/// (the lowering's nonzero entries, in the same ascending order) with the
+/// dense update's Terms = Inputs + 2.
+Vector float32ConvPad(const ConvTapPlan &P, const Vector &V);
 
 } // namespace kernels
 } // namespace charon

@@ -15,14 +15,20 @@
 ///    gatherColumns) and absColumnSums are bit-identical across *all*
 ///    levels: they perform exactly one IEEE operation per element (or, for
 ///    absColumnSums, accumulate each column in ascending-row order at every
-///    level).
+///    level). So is convTapsRow, the convolution's tap walk: every output
+///    starts at its bias and takes one multiply then one add per tap, in tap
+///    order, at every level (the vector body runs across output channels
+///    and never fuses the two).
 ///  - Reductions (matVec dots, matMulTransposed, affineBatch, absRowSums)
 ///    and saxpy-style products (matTVec, matMul) change their accumulation
 ///    grouping under AVX2/FMA, so results are bit-identical only *within* a
 ///    level. Within a level the pair contracts still hold exactly: one dot
 ///    scheme is shared by matVec / affineBatch / matMulTransposed and one
 ///    saxpy scheme by matTVec / matMul / tapAxpy, so the per-point and
-///    batched execution paths agree bit-for-bit at any level.
+///    batched execution paths agree bit-for-bit at any level. affineBatch
+///    and matMul take batch rows in pairs (one weight-row stream feeds two
+///    rows); each row of a pair keeps the dot's exact tree, or its own
+///    saxpy update and zero skip per k, so pairing never changes a bit.
 ///
 /// The level is process-global: CHARON_SIMD=auto|avx2|scalar initializes it
 /// (auto picks the best available backend), setSimdLevel() overrides it at

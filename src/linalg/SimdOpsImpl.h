@@ -11,8 +11,9 @@
 /// only the straight-line row/column-block bodies.
 ///
 /// Included by Kernels.cpp, KernelsF32.cpp, KernelsAvx2.cpp and
-/// SimdDispatch.cpp. Not installed behind the public headers — tests and
-/// callers go through the dispatch API in SimdDispatch.h.
+/// SimdDispatch.cpp. Not installed behind the public headers — callers go
+/// through the dispatch API in SimdDispatch.h; only kernel_tests reaches in,
+/// to drive the shard bodies at row offsets the pool may never produce.
 ///
 /// Contract notes for backend authors (see SimdDispatch.h for the
 /// user-facing statement):
@@ -24,6 +25,12 @@
 ///    call regardless of where the vector/tail boundary falls), because
 ///    matMul invokes it per column panel while matTVec spans whole rows.
 ///    TapSaxpy applies the same per-element update at scattered positions.
+///  - AffineRows and MatMulRows process rows in pairs from Begin. The pair
+///    bodies share only loads: each row keeps Dot's tree (AffineRows) or
+///    Saxpy's per-element update and its own zero skip (MatMulRows), so any
+///    Begin, odd or even, gives the single-row bits.
+///  - ConvTapsRow performs bias-then-(multiply, add) per tap in tap order
+///    with no fma, bitwise equal to the scalar body at every level.
 ///  - AbsColumnSumsCols must accumulate each column in ascending-row order
 ///    so results stay bit-identical across levels and shard layouts.
 ///  - ScaleColumnsRows, ReluRows and ReluBackwardRows perform one IEEE
@@ -56,13 +63,23 @@ struct SimdOps {
                   size_t RowOffset, size_t Begin, size_t End);
 
   /// Rows [Begin, End): Out(i, j) = dot(X.row(i), W.row(j)) + Bias[j].
+  /// Rows run in pairs from Begin (each W row read once per pair); every
+  /// output keeps Dot's exact tree.
   void (*AffineRows)(const Matrix &X, const Matrix &W, const double *Bias,
                      Matrix &Out, size_t Begin, size_t End);
 
   /// Rows [Begin, End) of C += A * B in i-k-j order (C pre-zeroed), built
-  /// on Saxpy semantics with the Aik == 0.0 skip.
+  /// on Saxpy semantics with the Aik == 0.0 skip. Rows run in pairs from
+  /// Begin (each B row read once per pair); every element keeps its own
+  /// saxpy update and zero-skip sequence.
   void (*MatMulRows)(const Matrix &A, const Matrix &B, Matrix &C,
                      size_t Begin, size_t End);
+
+  /// One point through a convolution's tap plan (see kernels::convTapsRow):
+  /// plain multiply then add per tap, bias (or zero) first — bitwise equal
+  /// to the scalar body at every level.
+  void (*ConvTapsRow)(const ConvTapPlan &P, const double *In,
+                      const double *Bias, double *Out);
 
   /// Rows [Begin, End): A(i, j) *= Scale[j].
   void (*ScaleColumnsRows)(Matrix &A, const Vector &Scale, size_t Begin,

@@ -35,50 +35,68 @@ void Conv2DLayer::initHe(Rng &R) {
   for (double &K : Kernels)
     K = R.gaussian(0.0, Scale);
   B.fill(0.0);
-  Lowered.reset();
+  dropDerived();
 }
 
-const Conv2DLayer::TapList &Conv2DLayer::taps() const {
-  // Lazy and thread-safe: concurrent searches share one layer.
-  return TapCache.get([this] {
-    TapList T;
-    T.Begin.reserve(positions() + 1);
-    T.Begin.push_back(0);
-    for (int Oy = 0; Oy < OutShape.Height; ++Oy) {
-      for (int Ox = 0; Ox < OutShape.Width; ++Ox) {
-        for (int Ic = 0; Ic < InShape.Channels; ++Ic) {
-          for (int Ky = 0; Ky < KH; ++Ky) {
-            int Iy = Oy * S + Ky - P;
-            if (Iy < 0 || Iy >= InShape.Height)
+kernels::ConvTapPlan Conv2DLayer::buildPlan() const {
+  kernels::ConvTapPlan T;
+  T.Inputs = InShape.size();
+  T.Positions = positions();
+  T.Channels = static_cast<size_t>(OutShape.Channels);
+  T.Stride = (T.Channels + 3) / 4 * 4;
+  T.Begin.reserve(T.Positions + 1);
+  T.Begin.push_back(0);
+  for (int Oy = 0; Oy < OutShape.Height; ++Oy) {
+    for (int Ox = 0; Ox < OutShape.Width; ++Ox) {
+      for (int Ic = 0; Ic < InShape.Channels; ++Ic) {
+        for (int Ky = 0; Ky < KH; ++Ky) {
+          int Iy = Oy * S + Ky - P;
+          if (Iy < 0 || Iy >= InShape.Height)
+            continue;
+          for (int Kx = 0; Kx < KW; ++Kx) {
+            int Ix = Ox * S + Kx - P;
+            if (Ix < 0 || Ix >= InShape.Width)
               continue;
-            for (int Kx = 0; Kx < KW; ++Kx) {
-              int Ix = Ox * S + Kx - P;
-              if (Ix < 0 || Ix >= InShape.Width)
-                continue;
-              T.Taps.push_back(
-                  {static_cast<uint32_t>(InShape.index(Ic, Iy, Ix)),
-                   static_cast<uint32_t>(kernelIndex(0, Ic, Ky, Kx))});
-            }
+            T.Taps.push_back(
+                {static_cast<uint32_t>(InShape.index(Ic, Iy, Ix)),
+                 static_cast<uint32_t>(kernelIndex(0, Ic, Ky, Kx))});
           }
         }
-        T.Begin.push_back(T.Taps.size());
       }
+      T.Begin.push_back(T.Taps.size());
     }
-    return T;
-  });
+  }
+
+  // The transpose, positions ascending per input (a counting sort).
+  T.UseBegin.assign(T.Inputs + 1, 0);
+  for (const kernels::Tap &Tp : T.Taps)
+    ++T.UseBegin[Tp.In + 1];
+  for (size_t I = 0; I < T.Inputs; ++I)
+    T.UseBegin[I + 1] += T.UseBegin[I];
+  T.Uses.resize(T.Taps.size());
+  std::vector<size_t> Next(T.UseBegin.begin(), T.UseBegin.end() - 1);
+  for (size_t Pos = 0; Pos < T.Positions; ++Pos)
+    for (size_t I = T.Begin[Pos]; I < T.Begin[Pos + 1]; ++I)
+      T.Uses[Next[T.Taps[I].In]++] = {static_cast<uint32_t>(Pos),
+                                      T.Taps[I].K};
+
+  T.FilterT.assign(filterSize() * T.Stride, 0.0);
+  T.BiasT.assign(T.Stride, 0.0);
+  for (size_t Oc = 0; Oc < T.Channels; ++Oc) {
+    for (size_t K = 0; K < filterSize(); ++K)
+      T.FilterT[K * T.Stride + Oc] = Kernels[Oc * filterSize() + K];
+    T.BiasT[Oc] = B[Oc];
+  }
+  return T;
+}
+
+const kernels::ConvTapPlan &Conv2DLayer::tapPlan() const {
+  return Plan.get([this] { return buildPlan(); });
 }
 
 void Conv2DLayer::forwardRow(const double *In, double *Out) const {
-  const TapList &T = taps();
-  for (int Oc = 0; Oc < OutShape.Channels; ++Oc) {
-    const double *Filter = Kernels.data() + Oc * filterSize();
-    for (size_t Pos = 0, E = positions(); Pos < E; ++Pos) {
-      double Sum = B[Oc];
-      for (size_t I = T.Begin[Pos], IE = T.Begin[Pos + 1]; I < IE; ++I)
-        Sum += Filter[T.Taps[I].K] * In[T.Taps[I].In];
-      *Out++ = Sum;
-    }
-  }
+  const kernels::ConvTapPlan &T = tapPlan();
+  kernels::convTapsRow(T, In, T.BiasT.data(), Out);
 }
 
 void Conv2DLayer::backwardRow(const double *GradOut, double *GradIn,
@@ -87,7 +105,7 @@ void Conv2DLayer::backwardRow(const double *GradOut, double *GradIn,
   // GradIn accumulates through the dispatched tapAxpy, whose rounding is
   // the saxpy's that matMul over the zero-filled lowered rows would apply,
   // so this pass keeps the bits of the dense backward at every SIMD level.
-  const TapList &T = taps();
+  const kernels::ConvTapPlan &T = tapPlan();
   for (int Oc = 0; Oc < OutShape.Channels; ++Oc) {
     const double *Filter = Kernels.data() + Oc * filterSize();
     for (size_t Pos = 0, E = positions(); Pos < E; ++Pos) {
@@ -133,7 +151,7 @@ Matrix Conv2DLayer::forwardBatch(const Matrix &X) const {
          "conv batched input size mismatch");
   // Rows run the per-point body, so batched and per-point agree bit for bit.
   Matrix Out = Matrix::uninit(X.rows(), OutShape.size());
-  kernels::parallelFor(X.rows(), 2 * OutShape.Channels * taps().Taps.size(),
+  kernels::parallelFor(X.rows(), 2 * OutShape.Channels * tapPlan().Taps.size(),
                        [&](size_t Begin, size_t End) {
                          for (size_t I = Begin; I < End; ++I)
                            forwardRow(X.row(I), Out.row(I));
@@ -145,7 +163,7 @@ Matrix Conv2DLayer::backwardBatch(const Matrix &X, const Matrix &GradOut) const 
   assert(GradOut.cols() == static_cast<size_t>(OutShape.size()) &&
          X.rows() == GradOut.rows() && "conv batched gradient size mismatch");
   Matrix GradIn(X.rows(), InShape.size());
-  kernels::parallelFor(X.rows(), 2 * OutShape.Channels * taps().Taps.size(),
+  kernels::parallelFor(X.rows(), 2 * OutShape.Channels * tapPlan().Taps.size(),
                        [&](size_t Begin, size_t End) {
                          for (size_t I = Begin; I < End; ++I)
                            backwardRow(GradOut.row(I), GradIn.row(I));
@@ -159,7 +177,7 @@ void Conv2DLayer::applyGradients(double LearningRate, double BatchSize) {
     Kernels[I] -= Step * GradKernels[I];
   for (size_t I = 0, E = B.size(); I < E; ++I)
     B[I] -= Step * GradB[I];
-  Lowered.reset();
+  dropDerived();
 }
 
 void Conv2DLayer::zeroGradients() {
@@ -173,7 +191,7 @@ Conv2DLayer::LoweredForm Conv2DLayer::buildLowered() const {
   Form.Bias = Vector(OutShape.size());
   // Each output coordinate owns exactly one W row, so the scatter shards
   // cleanly across rows.
-  const TapList &T = taps();
+  const kernels::ConvTapPlan &T = tapPlan();
   const size_t Positions = positions();
   kernels::parallelFor(
       Form.W.rows(), filterSize(), [&](size_t Begin, size_t End) {

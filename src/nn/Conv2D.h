@@ -7,13 +7,19 @@
 /// \file
 /// 2-D convolution with zero padding. Tensors are flattened channel-major:
 /// index(c, y, x) = c*H*W + y*W + x. Sec. 2.1 of the paper treats
-/// convolutional layers as affine transformations for analysis purposes;
-/// \c affineForm() returns the lowered dense matrix (built once per weight
-/// state) so the abstract transformers see the exact same map the concrete
-/// forward pass computes. Concrete execution never touches that matrix: it
-/// walks a tap list (each output position's in-window (input, weight)
-/// pairs, shared by the output channels), so a pass costs one multiply-add
-/// per real tap instead of one per lowered entry.
+/// convolutional layers as affine transformations for analysis purposes.
+///
+/// Two views of the same map, each built once per weight state:
+///  - the tap plan (kernels::ConvTapPlan): each output position's in-window
+///    (input, weight) pairs, shared by the output channels, plus
+///    channel-major filters. Concrete execution (forward, backward, PGD)
+///    and the zonotope transformer (AbstractElement::applyConv) run from
+///    it, so a pass costs one multiply-add per real tap per channel;
+///  - \c affineForm(), the lowered dense matrix. Its remaining readers are
+///    the Interval, Polyhedra and SymbolicInterval domains (through
+///    applyConv's default), the Reluplex baseline, the CEGAR abstractor and
+///    the network fingerprint. They keep it until the domains take an
+///    operator interface instead of a matrix.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -76,15 +82,23 @@ public:
     return Kernels[kernelIndex(Oc, Ic, Ky, Kx)];
   }
   double &kernelAt(int Oc, int Ic, int Ky, int Kx) {
-    Lowered.reset();
+    dropDerived();
     return Kernels[kernelIndex(Oc, Ic, Ky, Kx)];
   }
 
   const Vector &bias() const { return B; }
   Vector &bias() {
-    Lowered.reset();
+    dropDerived();
     return B;
   }
+
+  /// The tap plan the concrete passes and the zonotope run from (built
+  /// once per weight state, thread-safe on first use).
+  const kernels::ConvTapPlan &tapPlan() const;
+
+  /// True once affineForm() has built the dense lowering for the current
+  /// weights (tests use it to check which paths avoid it).
+  bool loweringBuilt() const { return Lowered.built(); }
 
 private:
   int kernelIndex(int Oc, int Ic, int Ky, int Kx) const {
@@ -98,17 +112,12 @@ private:
   };
   LoweredForm buildLowered() const;
 
-  /// Per-position tap lists in CSR form: the taps of output position
-  /// p = Oy * OutW + Ox are Taps[Begin[p], Begin[p + 1]), ascending in
-  /// input index (the order of the Ic/Ky/Kx window loops), each with its
-  /// weight's index inside one filter. Every output channel shares them
-  /// with its own filter. Built from the window geometry alone —
-  /// exactly-zero weights keep their taps — so it never needs a rebuild.
-  struct TapList {
-    std::vector<size_t> Begin;
-    std::vector<kernels::Tap> Taps;
-  };
-  const TapList &taps() const;
+  /// The tap plan: per-position tap lists in CSR form (ascending input
+  /// index, the order of the Ic/Ky/Kx window loops, each weight indexed
+  /// inside one filter), their input-to-position transpose, and
+  /// channel-major copies of the filters and bias. Exactly-zero weights
+  /// keep their taps.
+  kernels::ConvTapPlan buildPlan() const;
   size_t filterSize() const {
     return static_cast<size_t>(InShape.Channels) * KH * KW;
   }
@@ -116,7 +125,13 @@ private:
     return static_cast<size_t>(OutShape.Height) * OutShape.Width;
   }
 
-  /// Out = bias + taps (ascending) for one point.
+  /// Drops everything derived from the weights.
+  void dropDerived() {
+    Lowered.reset();
+    Plan.reset();
+  }
+
+  /// Out = bias + taps (ascending) for one point, all channels per tap.
   void forwardRow(const double *In, double *Out) const;
   /// GradIn += GradOut . W for one point, outputs ascending, zero output
   /// gradients skipped. With a non-null \p Input also accumulates the
@@ -133,11 +148,11 @@ private:
   std::vector<double> GradKernels;
   Vector GradB;
 
-  /// The lowering, built once per weight state (thread-safe on first use)
-  /// and dropped by every member that can change a weight.
+  /// The lowering and the tap plan, built once per weight state
+  /// (thread-safe on first use) and dropped by every member that can
+  /// change a weight.
   Lazy<LoweredForm> Lowered;
-
-  Lazy<TapList> TapCache;
+  Lazy<kernels::ConvTapPlan> Plan;
 };
 
 } // namespace charon

@@ -110,7 +110,9 @@ public:
 
   /// If this layer is an affine map, returns its (W, b) view. Dense layers
   /// return their parameters directly; Conv2D and AvgPool2D return the
-  /// lowered matrix (cached, rebuilt after weight updates).
+  /// lowered matrix (cached, rebuilt after weight updates). The analyzer
+  /// hands a Conv2D to AbstractElement::applyConv instead, which reads this
+  /// view only in domains without a tap-plan transformer.
   virtual std::optional<AffineView> affineForm() const { return std::nullopt; }
 
   /// The element-wise activation this layer applies, if it is an activation

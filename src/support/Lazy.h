@@ -55,6 +55,11 @@ public:
     return *Value;
   }
 
+  /// True when a value is published.
+  bool built() const {
+    return Ready.load(std::memory_order_acquire) != nullptr;
+  }
+
   /// Drops the cached value; the next get() rebuilds it.
   void reset() {
     Ready.store(nullptr, std::memory_order_relaxed);

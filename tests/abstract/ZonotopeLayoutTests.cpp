@@ -18,12 +18,23 @@
 // within a sane factor of the double bounds, and prove the check can fire by
 // flipping the rounding direction inward (the simulated unsound mode).
 //
+// A convolution reaches the zonotope through its tap plan, not its dense
+// lowering (ZonotopeElement::applyConv). The conv tests check that path
+// against the lowered product on LeNet and on generated conv nets: it must
+// contain concrete executions and agree with the lowering's bounds within a
+// stated tolerance, in both precisions, and a zonotope analysis must never
+// build the lowering at all.
+//
 //===----------------------------------------------------------------------===//
 
+#include "abstract/Analyzer.h"
 #include "abstract/ZonotopeElement.h"
+#include "fuzz/RandomNetwork.h"
 #include "linalg/Kernels.h"
 #include "linalg/KernelsF32.h"
 #include "linalg/SimdDispatch.h"
+#include "nn/Builder.h"
+#include "nn/Conv2D.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
@@ -637,4 +648,172 @@ TEST(ZonotopeFloat32Test, InwardFlipBreaksDominance) {
         AnyViolation || !float32DominatesDouble(Seed, /*ExpectDominance=*/false);
   EXPECT_TRUE(AnyViolation)
       << "inward-rounded float32 bounds still dominated double everywhere";
+}
+
+//===----------------------------------------------------------------------===//
+// Convolutions through the tap plan
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// propagate() with every Conv2D applied through its dense lowering: the
+/// path the tap plan replaced, as the reference.
+void propagateLowered(const Network &Net, AbstractElement &Elem) {
+  for (size_t I = 0, E = Net.numLayers(); I < E; ++I) {
+    const Layer &L = Net.layer(I);
+    if (L.isIdentity())
+      continue;
+    if (auto Affine = L.affineForm())
+      Elem.applyAffine(*Affine->W, *Affine->B);
+    else if (auto Act = L.activationKind())
+      Elem.applyActivation(*Act, 0, Elem.dim());
+    else if (const PoolSpec *Spec = L.poolSpec())
+      Elem.applyMaxPool(*Spec);
+    else
+      FAIL() << "unexpected layer kind in a conv net";
+  }
+}
+
+/// Relative agreement: |Got - Want| <= Tol * (1 + |Want|).
+void expectAgree(double Got, double Want, double Tol, const char *What,
+                 size_t I) {
+  EXPECT_LE(std::fabs(Got - Want), Tol * (1.0 + std::fabs(Want)))
+      << What << " " << I << ": taps " << Got << " lowered " << Want;
+}
+
+/// Propagates \p Region through \p Net both ways at precision \p P and
+/// checks the tap path: every output bound and pairwise margin within
+/// \p Tol of the lowering's, and every sampled concrete output inside the
+/// tap path's bounds.
+void checkConvTapsAgainstLowering(const Network &Net, const Box &Region,
+                                  KernelPrecision P, double Tol, Rng &R) {
+  ZonotopeElement Taps(Region, P), Lowered(Region, P);
+  ASSERT_TRUE(propagate(Net, Taps));
+  propagateLowered(Net, Lowered);
+  ASSERT_EQ(Taps.dim(), Lowered.dim());
+  for (size_t I = 0; I < Taps.dim(); ++I) {
+    expectAgree(Taps.lowerBound(I), Lowered.lowerBound(I), Tol, "lower", I);
+    expectAgree(Taps.upperBound(I), Lowered.upperBound(I), Tol, "upper", I);
+  }
+  for (size_t K = 0; K < Taps.dim(); ++K)
+    for (size_t J = 0; J < Taps.dim(); ++J)
+      if (K != J)
+        expectAgree(Taps.lowerBoundDiff(K, J), Lowered.lowerBoundDiff(K, J),
+                    Tol, "margin", K * Taps.dim() + J);
+  for (int S = 0; S < 32; ++S) {
+    Vector Y = Net.evaluate(Region.sample(R));
+    for (size_t I = 0; I < Y.size(); ++I) {
+      double Slack = 1e-9 * (1.0 + std::fabs(Y[I]));
+      EXPECT_LE(Taps.lowerBound(I), Y[I] + Slack) << "output " << I;
+      EXPECT_GE(Taps.upperBound(I), Y[I] - Slack) << "output " << I;
+    }
+  }
+}
+
+/// Conv nets to test on: the mnist_conv-shaped LeNet and generated conv
+/// nets from the fuzz generator (random channels, kernels, strides, pads,
+/// pools and activations).
+std::vector<Network> convTestNets() {
+  std::vector<Network> Nets;
+  Rng NetRng(71);
+  Nets.push_back(makeLeNet(TensorShape{1, 10, 10}, 10, NetRng));
+  GeneratorConfig Config;
+  Config.ConvProbability = 1.0;
+  Rng SpecRng(72);
+  for (int I = 0; I < 12; ++I)
+    Nets.push_back(buildNetwork(generateNetworkSpec(SpecRng, Config)));
+  return Nets;
+}
+
+} // namespace
+
+// Tolerances: in double the tap walk differs from the lowered product only
+// in rounding (mul + add over the real taps against the product's fma chain
+// over the zero-filled row), so bounds agree to 1e-9 relative. In float32
+// both paths carry their own outward pads, so they agree only to float
+// noise: 1e-3 relative on these O(1)-scaled nets.
+TEST(ZonotopeConvTest, TapsMatchLoweredProductAndContainExecutions) {
+  std::vector<Network> Nets = convTestNets();
+  forEachSimdLevel([&] {
+    Rng R(73);
+    for (size_t N = 0; N < Nets.size(); ++N) {
+      SCOPED_TRACE("net " + std::to_string(N));
+      const Network &Net = Nets[N];
+      Vector C(Net.inputSize());
+      for (size_t I = 0; I < C.size(); ++I)
+        C[I] = R.uniform(0.2, 0.8);
+      Box Region = Box::linfBall(C, N == 0 ? 0.02 : 0.1, 0.0, 1.0);
+      {
+        SCOPED_TRACE("double");
+        checkConvTapsAgainstLowering(Net, Region, KernelPrecision::Double,
+                                     1e-9, R);
+      }
+      {
+        SCOPED_TRACE("float32");
+        checkConvTapsAgainstLowering(Net, Region, KernelPrecision::Float32,
+                                     1e-3, R);
+      }
+      // The float tap path stays sound against the double tap path.
+      ZonotopeElement Zd(Region), Zf(Region, KernelPrecision::Float32);
+      ASSERT_TRUE(propagate(Net, Zd));
+      ASSERT_TRUE(propagate(Net, Zf));
+      for (size_t I = 0; I < Zd.dim(); ++I) {
+        double Slack = 1e-10 * (1.0 + std::fabs(Zd.lowerBound(I)) +
+                                std::fabs(Zd.upperBound(I)));
+        EXPECT_LE(Zf.lowerBound(I), Zd.lowerBound(I) + Slack) << "dim " << I;
+        EXPECT_GE(Zf.upperBound(I), Zd.upperBound(I) - Slack) << "dim " << I;
+      }
+    }
+  });
+}
+
+TEST(ZonotopeConvTest, TapsAreBitIdenticalAcrossThreading) {
+  std::vector<Network> Nets = convTestNets();
+  forEachSimdLevel([&] {
+    for (KernelPrecision P :
+         {KernelPrecision::Double, KernelPrecision::Float32}) {
+      SCOPED_TRACE(toString(P));
+      const Network &Net = Nets.front();
+      Box Region = Box::uniform(Net.inputSize(), 0.3, 0.35);
+      size_t Saved = kernels::parallelThreshold();
+      kernels::setParallelThreshold(size_t(1) << 40);
+      ZonotopeElement Serial(Region, P);
+      ASSERT_TRUE(propagate(Net, Serial));
+      kernels::setParallelThreshold(0);
+      ZonotopeElement Threaded(Region, P);
+      ASSERT_TRUE(propagate(Net, Threaded));
+      kernels::setParallelThreshold(Saved);
+      for (size_t I = 0; I < Serial.dim(); ++I) {
+        ASSERT_EQ(Serial.lowerBound(I), Threaded.lowerBound(I)) << I;
+        ASSERT_EQ(Serial.upperBound(I), Threaded.upperBound(I)) << I;
+      }
+    }
+  });
+}
+
+TEST(ZonotopeConvTest, ZonotopeAnalysisNeverBuildsTheLowering) {
+  Rng NetRng(74);
+  const Network Original = makeLeNet(TensorShape{1, 10, 10}, 10, NetRng);
+  auto ConvLayers = [](const Network &Net) {
+    std::vector<const Conv2DLayer *> Convs;
+    for (size_t I = 0; I < Net.numLayers(); ++I)
+      if (Net.layer(I).kind() == LayerKind::Conv2D)
+        Convs.push_back(static_cast<const Conv2DLayer *>(&Net.layer(I)));
+    return Convs;
+  };
+  Network Fresh = Original.clone();
+  ASSERT_EQ(ConvLayers(Fresh).size(), 3u);
+  Box Region = Box::uniform(Fresh.inputSize(), 0.4, 0.45);
+  DomainSpec Zono{BaseDomainKind::Zonotope, 1};
+  DomainSpec Zono2{BaseDomainKind::Zonotope, 2};
+  analyzeRobustness(Fresh, Region, 0, Zono);
+  analyzeRobustness(Fresh, Region, 0, Zono2);
+  analyzeRobustness(Fresh, Region, 0, Zono, nullptr, KernelPrecision::Float32);
+  for (const Conv2DLayer *C : ConvLayers(Fresh))
+    EXPECT_FALSE(C->loweringBuilt());
+  // The flag is live: a domain on the default path does build it.
+  analyzeRobustness(Fresh, Region, 0,
+                    DomainSpec{BaseDomainKind::Interval, 1});
+  for (const Conv2DLayer *C : ConvLayers(Fresh))
+    EXPECT_TRUE(C->loweringBuilt());
 }

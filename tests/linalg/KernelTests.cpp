@@ -16,6 +16,10 @@
 //    outward-rounding helpers really round outward (and flip inward under
 //    the test-only direction override).
 //
+// The paired-row bodies (AffineRows, MatMulRows take two rows per weight
+// row) are also driven directly through the internal dispatch table, so
+// shards that start at an odd row are covered whatever the pool size.
+//
 // Each product/sweep case runs both below and above the parallel threshold
 // (setParallelThreshold(0) forces every kernel onto the thread pool), on
 // shapes including empty, single-row, and strongly non-square matrices.
@@ -26,12 +30,15 @@
 #include "linalg/KernelsF32.h"
 #include "linalg/Matrix.h"
 #include "linalg/SimdDispatch.h"
+#include "linalg/SimdOpsImpl.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <limits>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -451,6 +458,116 @@ TEST(KernelTest, SaxpyAndTapAxpyArePositionIndependentWithinALevel) {
             Sum += G[Row] * D(Row, C);
         ASSERT_EQ(Whole[C], Sum);
       }
+  });
+}
+
+TEST(KernelTest, PairedRowKernelsMatchPerRowBitForBit) {
+  // AffineRows and MatMulRows run two population rows per weight row. Every
+  // output must keep the per-point bits: matVec's dot plus the bias, and
+  // matTVec's saxpy sequence with its zero skips. Row counts are odd and
+  // even; some gradient entries are zero in only one row of a pair; shards
+  // start at even and odd rows.
+  Rng R(909);
+  const size_t RowCounts[] = {1, 2, 3, 5, 8};
+  const Shape WeightShapes[] = {{0, 1, 1}, {0, 7, 3}, {0, 16, 9},
+                                {0, 37, 21}, {0, 300, 6}};
+  forEachSimdLevel([&](kernels::SimdLevel) {
+    const kernels::detail::SimdOps &Ops = kernels::detail::activeOps();
+    for (size_t Rows : RowCounts) {
+      for (const Shape &S : WeightShapes) {
+        SCOPED_TRACE("rows=" + std::to_string(Rows) + " K=" +
+                     std::to_string(S.K) + " N=" + std::to_string(S.N));
+        Matrix X = randomMatrix(Rows, S.K, R);
+        Matrix W = randomMatrix(S.N, S.K, R);
+        Vector B(S.N);
+        for (size_t J = 0; J < S.N; ++J)
+          B[J] = R.uniform(-1.0, 1.0);
+        // Gradients for the backward product: zeros land in one row of a
+        // pair only (odd rows zero every third entry, even rows never). An
+        // infinite weight in row 0 makes each skip visible: a row that
+        // multiplied it by its zero would read NaN.
+        Matrix G = randomMatrix(Rows, S.N, R);
+        for (size_t I = 1; I < Rows; I += 2)
+          for (size_t J = 0; J < S.N; J += 3)
+            G(I, J) = 0.0;
+        Matrix WInf = W;
+        WInf(0, S.K / 2) = std::numeric_limits<double>::infinity();
+        Matrix WantAffine(Rows, S.N), WantMatMul(Rows, S.K);
+        for (size_t I = 0; I < Rows; ++I) {
+          Vector XRow(S.K), GRow(S.N);
+          std::copy(X.row(I), X.row(I) + S.K, XRow.data());
+          std::copy(G.row(I), G.row(I) + S.N, GRow.data());
+          Vector Y = matVec(W, XRow);
+          for (size_t J = 0; J < S.N; ++J)
+            WantAffine(I, J) = Y[J] + B[J];
+          Vector T = matTVec(WInf, GRow);
+          std::copy(T.data(), T.data() + S.K, WantMatMul.row(I));
+        }
+        {
+          ThresholdGuard TG;
+          kernels::setParallelThreshold(0);
+          expectValueEqual(kernels::affineBatch(X, W, B), WantAffine);
+          expectValueEqual(matMul(G, WInf), WantMatMul);
+          kernels::setParallelThreshold(size_t(1) << 40);
+          expectValueEqual(kernels::affineBatch(X, W, B), WantAffine);
+          expectValueEqual(matMul(G, WInf), WantMatMul);
+        }
+        for (size_t Begin = 0; Begin < Rows; ++Begin) {
+          Matrix OutA(Rows, S.N), OutM(Rows, S.K);
+          Ops.AffineRows(X, W, B.data(), OutA, Begin, Rows);
+          Ops.MatMulRows(G, WInf, OutM, Begin, Rows);
+          for (size_t I = Begin; I < Rows; ++I) {
+            for (size_t J = 0; J < S.N; ++J)
+              ASSERT_EQ(OutA(I, J), WantAffine(I, J))
+                  << "affine begin " << Begin << " at (" << I << ", " << J
+                  << ")";
+            for (size_t J = 0; J < S.K; ++J)
+              ASSERT_EQ(OutM(I, J), WantMatMul(I, J))
+                  << "matMul begin " << Begin << " at (" << I << ", " << J
+                  << ")";
+          }
+        }
+      }
+    }
+  });
+}
+
+TEST(KernelTest, MatMulTransposedShardsHoldWholeMicroBlocks) {
+  // Each shard of the generator product packs all of B, so a shard gets at
+  // least four rows: six rows run as one shard even with every kernel forced
+  // onto the pool, and the bits do not depend on it.
+  ThresholdGuard G;
+  kernels::setParallelThreshold(0);
+  std::vector<size_t> Sizes;
+  std::mutex M;
+  kernels::parallelFor(
+      6, 1,
+      [&](size_t Begin, size_t End) {
+        std::lock_guard<std::mutex> Lock(M);
+        Sizes.push_back(End - Begin);
+      },
+      /*MinPerShard=*/4);
+  ASSERT_EQ(Sizes.size(), 1u);
+  EXPECT_EQ(Sizes[0], 6u);
+  Sizes.clear();
+  kernels::parallelFor(
+      64, 1,
+      [&](size_t Begin, size_t End) {
+        std::lock_guard<std::mutex> Lock(M);
+        Sizes.push_back(End - Begin);
+      },
+      /*MinPerShard=*/4);
+  for (size_t N : Sizes)
+    EXPECT_GE(N, 4u);
+  EXPECT_EQ(Sizes.size(), std::min<size_t>(kernels::kernelThreads(), 16));
+
+  Rng R(910);
+  Matrix A = randomMatrix(6, 90, R), B = randomMatrix(40, 90, R);
+  forEachSimdLevel([&](kernels::SimdLevel) {
+    kernels::setParallelThreshold(size_t(1) << 40);
+    Matrix Serial = kernels::matMulTransposed(A, B);
+    kernels::setParallelThreshold(0);
+    expectValueEqual(kernels::matMulTransposed(A, B), Serial);
   });
 }
 

@@ -193,6 +193,65 @@ TEST(BatchExecTest, Conv2DPassesMatchLoweredAffineForm) {
   }
 }
 
+TEST(BatchExecTest, Conv2DChannelWalkMatchesPerChannelWalk) {
+  // The forward pass walks each position's taps once for all output
+  // channels (vector bodies over channel blocks). Every output must keep the
+  // per-channel walk's bits: bias first, then one multiply and one add per
+  // in-window tap in (Ic, Ky, Kx) order. Channel counts cover one partial
+  // vector, a padded block, whole blocks and a second block; a weight edited
+  // after the first pass must be seen by the next one.
+  SimdLevelGuard Guard;
+  for (int OutC : {1, 3, 8, 16, 20}) {
+    SCOPED_TRACE("OutChannels=" + std::to_string(OutC));
+    const TensorShape In{3, 7, 6};
+    Conv2DLayer L(In, OutC, /*KernelH=*/3, /*KernelW=*/2, /*Stride=*/2,
+                  /*Pad=*/1);
+    Rng R(60 + OutC);
+    L.initHe(R);
+    for (int C = 0; C < OutC; ++C)
+      L.bias()[C] = R.uniform(-0.5, 0.5);
+    Matrix X = randomMatrix(5, L.inputSize(), R);
+    auto Reference = [&] {
+      const TensorShape &Out = L.outputShape();
+      Matrix Want(X.rows(), L.outputSize());
+      for (size_t I = 0; I < X.rows(); ++I)
+        for (int Oc = 0; Oc < Out.Channels; ++Oc)
+          for (int Oy = 0; Oy < Out.Height; ++Oy)
+            for (int Ox = 0; Ox < Out.Width; ++Ox) {
+              double Sum = L.bias()[Oc];
+              for (int Ic = 0; Ic < In.Channels; ++Ic)
+                for (int Ky = 0; Ky < L.kernelHeight(); ++Ky) {
+                  int Iy = Oy * L.stride() + Ky - L.padding();
+                  if (Iy < 0 || Iy >= In.Height)
+                    continue;
+                  for (int Kx = 0; Kx < L.kernelWidth(); ++Kx) {
+                    int Ix = Ox * L.stride() + Kx - L.padding();
+                    if (Ix < 0 || Ix >= In.Width)
+                      continue;
+                    Sum += static_cast<const Conv2DLayer &>(L).kernelAt(
+                               Oc, Ic, Ky, Kx) *
+                           X(I, static_cast<size_t>(In.index(Ic, Iy, Ix)));
+                  }
+                }
+              Want(I, static_cast<size_t>(Out.index(Oc, Oy, Ox))) = Sum;
+            }
+      return Want;
+    };
+    for (int Round = 0; Round < 2; ++Round) {
+      if (Round == 1)
+        L.kernelAt(OutC - 1, 2, 1, 1) = 0.75;
+      Matrix Want = Reference();
+      for (kernels::SimdLevel Level : kernels::availableSimdLevels()) {
+        SCOPED_TRACE(kernels::simdLevelName(Level));
+        ASSERT_TRUE(kernels::setSimdLevel(Level));
+        expectValueEqual(forwardRows(L, X), Want);
+        underBothThreadings(
+            [&] { expectValueEqual(L.forwardBatch(X), Want); });
+      }
+    }
+  }
+}
+
 TEST(BatchExecTest, MaxPool2DMatchesScalarRows) {
   MaxPool2DLayer L(TensorShape{2, 6, 4}, /*PoolH=*/2, /*PoolW=*/2,
                    /*Stride=*/2);
@@ -248,16 +307,17 @@ TEST(BatchExecTest, NetworkObjectiveBatchMatchesScalarOnLeNet) {
 
 namespace {
 
-/// Runs both PGD engines over several population shapes, each cold and
-/// warm-started, for every target class; results must agree bit for bit.
-void checkPgdEnginesBitIdentical(const Network &Net, const Box &Region,
-                                 const Vector &Warm) {
-  PgdConfig Variants[4];
+/// One sweep of checkPgdEnginesBitIdentical at the current level and
+/// threading.
+void checkPgdEnginesAtLevel(const Network &Net, const Box &Region,
+                            const Vector &Warm) {
+  PgdConfig Variants[5];
   Variants[1].Restarts = 6;
   Variants[2].Restarts = 5;
   Variants[2].EarlyStopObjective = -std::numeric_limits<double>::infinity();
   Variants[3].Restarts = 1;
   Variants[3].Steps = 40;
+  Variants[4].Restarts = 3;
 
   for (PgdConfig Config : Variants) {
     for (const Vector *WarmStart :
@@ -274,6 +334,20 @@ void checkPgdEnginesBitIdentical(const Network &Net, const Box &Region,
         ASSERT_TRUE(approxEqual(A.X, B.X, 0.0));
       }
     }
+  }
+}
+
+/// Runs both PGD engines over several population shapes (B = 1, 2, 3, 5
+/// and 6: odd sizes leave the paired dense kernels an unpaired row), each
+/// cold and warm-started, for every target class, at every SIMD level with
+/// threading off and forced; results must agree bit for bit.
+void checkPgdEnginesBitIdentical(const Network &Net, const Box &Region,
+                                 const Vector &Warm) {
+  SimdLevelGuard Guard;
+  for (kernels::SimdLevel Level : kernels::availableSimdLevels()) {
+    SCOPED_TRACE(kernels::simdLevelName(Level));
+    ASSERT_TRUE(kernels::setSimdLevel(Level));
+    underBothThreadings([&] { checkPgdEnginesAtLevel(Net, Region, Warm); });
   }
 }
 
